@@ -32,6 +32,7 @@ from repro.io.jsonlines import (
     ingest_jsonlines,
     write_jsonlines,
 )
+from repro.jsontypes.types import type_of
 from repro.schema import (
     from_json_schema,
     render,
@@ -98,9 +99,12 @@ def _build_parser() -> argparse.ArgumentParser:
     discover.add_argument(
         "--ingest",
         choices=INGEST_MODES,
-        default="classic",
-        help="how to read input: parse values (classic) or stream "
-        "interned record types in one pass over the bytes (fused)",
+        default="fused",
+        help="which reader builds the record types: stream interned "
+        "types in one pass over the bytes with a shape cache (fused, "
+        "the default) or parse values first (classic, the "
+        "differential oracle).  Selects a reader, not a code path: "
+        "the schema is byte-identical either way",
     )
     discover.add_argument(
         "--enrich", default=None, metavar="FEATURES",
@@ -293,20 +297,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(
-    path: str, on_bad_record: str, ingest: str = "classic"
-) -> list:
-    if ingest == "fused":
-        from repro.io.fastpath import ingest_jsonlines_fused
-
-        records, report = ingest_jsonlines_fused(
-            path, on_bad_record=on_bad_record
-        )
-    else:
-        records, report = ingest_jsonlines(path, on_bad_record=on_bad_record)
+def _warn_bad_records(report) -> None:
     if not report.ok:
         print(f"warning: {report.summary()}", file=sys.stderr)
+
+
+def _read_input(path: str, on_bad_record: str) -> list:
+    """The file's parsed values, through the classic reader."""
+    records, report = ingest_jsonlines(path, on_bad_record=on_bad_record)
+    _warn_bad_records(report)
     return records
+
+
+def _read_types(path: str, on_bad_record: str, ingest: str) -> list:
+    """The file's record types, through the ``--ingest`` reader.
+
+    Both readers yield the same interned types in the same order, so
+    everything downstream is byte-identical whichever one is chosen.
+    """
+    if ingest == "classic":
+        return [type_of(value) for value in _read_input(path, on_bad_record)]
+    from repro.io.fastpath import ingest_jsonlines_fused
+
+    types, report = ingest_jsonlines_fused(path, on_bad_record=on_bad_record)
+    _warn_bad_records(report)
+    return types
 
 
 def _discover_overrides(args: argparse.Namespace) -> dict:
@@ -407,17 +422,13 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         return 2
     if args.shards is not None:
         return _cmd_discover_sharded(args, overrides)
-    # Fused ingestion yields record *types*, and the state core is the
-    # layer that canonically consumes types for every algorithm — so
-    # fused discovery always routes through it, exactly like
-    # checkpointed/resumed and enriched runs do (enrichment lives on
-    # the state).
+    # Checkpointed, resumed, appended and enriched runs need a state
+    # (enrichment lives on it).  --ingest only picks the reader.
     if (
         args.checkpoint
         or args.resume
         or args.append
         or args.enrich is not None
-        or args.ingest == "fused"
     ):
         return _cmd_discover_incremental(args, overrides)
     if args.input is None:
@@ -426,8 +437,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    records = _read_input(args.input, args.on_bad_record)
-    if not records:
+    types = _read_types(args.input, args.on_bad_record, args.ingest)
+    if not types:
         print("error: input contains no records", file=sys.stderr)
         return 2
     discoverer = make_discoverer(args.algorithm)
@@ -451,7 +462,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         discoverer.num_partitions = _parse_count_or_auto(
             args.num_partitions, "--num-partitions"
         )
-    schema = discoverer.discover(records)
+    schema = discoverer.merge_types(types)
     _emit_schema(schema, args)
     return 0
 
@@ -543,8 +554,7 @@ def _cmd_discover_sharded(args: argparse.Namespace, overrides: dict) -> int:
                 **fanin,
             )
             run = coordinator.run(source)
-            if not run.report.ok:
-                print(f"warning: {run.report.summary()}", file=sys.stderr)
+            _warn_bad_records(run.report)
             state = run.state if state is None else state.merge(run.state)
             if shard_dir is not None:
                 used_shard_dirs.append(shard_dir)
@@ -586,6 +596,10 @@ def _cmd_discover_incremental(
         state_for_algorithm,
     )
     from repro.errors import CheckpointError, EmptyInputError
+    from repro.io.fastpath import (
+        absorb_jsonlines_fused,
+        absorb_jsonlines_typed,
+    )
 
     if args.resume:
         if not args.checkpoint:
@@ -616,26 +630,20 @@ def _cmd_discover_incremental(
             return 2
     sources = [args.input] if args.input else []
     sources.extend(args.append)
+    # Sketches need the parsed values, so an enriched state reads
+    # (type, value) pairs instead of cache-accelerated bare types.
+    absorb_fused = (
+        absorb_jsonlines_fused
+        if state.enrichment is None
+        else absorb_jsonlines_typed
+    )
     for source in sources:
-        if args.ingest == "fused":
-            if state.enrichment is not None:
-                # Sketches need the parsed values, so an enriched
-                # fused run streams (type, value) pairs instead of
-                # cache-accelerated bare types.
-                from repro.io.fastpath import absorb_jsonlines_typed
-
-                report = absorb_jsonlines_typed(
-                    state, source, on_bad_record=args.on_bad_record
-                )
-                if not report.ok:
-                    print(
-                        f"warning: {report.summary()}", file=sys.stderr
-                    )
-            else:
-                for tau in _read_input(source, args.on_bad_record, "fused"):
-                    state.absorb_type(tau)
-        else:
+        if args.ingest == "classic":
             state.absorb_many(_read_input(source, args.on_bad_record))
+        else:
+            _warn_bad_records(
+                absorb_fused(state, source, on_bad_record=args.on_bad_record)
+            )
     if state.record_count == 0:
         print("error: input contains no records", file=sys.stderr)
         return 2
@@ -653,6 +661,7 @@ def _cmd_discover_incremental(
 def _cmd_validate(args: argparse.Namespace) -> int:
     with open(args.schema, encoding="utf-8") as handle:
         schema = from_json_schema(json.load(handle))
+    # Validation needs the values, so it always reads them classically.
     records = _read_input(args.input, args.on_bad_record)
     report = validate_records(schema, records)
     print(

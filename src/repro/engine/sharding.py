@@ -337,71 +337,46 @@ def _run_shard(task: ShardTask) -> ShardResult:
             return cached
 
     from repro.discovery.state import state_for_algorithm
-    from repro.io.jsonlines import IngestReport
-    from repro.jsontypes.bag import CountedBag
+    from repro.io.jsonlines import IngestReport, read_jsonlines
 
     before = _perf_snapshot()
-    report = IngestReport(path=task.path, policy=task.on_bad_record)
-    end = task.end
     state = state_for_algorithm(
         task.algorithm, task.config, enrich=task.enrich
     )
-    if task.enrich is not None:
-        # Enrichment needs every record's parsed value, so the shard
-        # folds per record through the typed reader instead of through
-        # the bag.  Per-record absorption and the bag fold are
-        # byte-identical on the structural side (bag order is
-        # first-occurrence order), so enriched partials still strip to
-        # the plain partials' bytes.
-        if task.ingest == "fused":
-            from repro.io.fastpath import read_jsonlines_typed
+    ranged = {
+        "on_bad_record": task.on_bad_record,
+        "start": task.start,
+        "end": task.end,
+    }
+    if task.ingest == "fused":
+        from repro.io.fastpath import (
+            absorb_jsonlines_fused,
+            absorb_jsonlines_typed,
+        )
 
-            for tau, value in read_jsonlines_typed(
-                task.path,
-                on_bad_record=task.on_bad_record,
-                report=report,
-                start=task.start,
-                end=end,
-            ):
-                state.absorb_typed(tau, value)
-        else:
-            from repro.io.jsonlines import read_jsonlines
-
-            for value in read_jsonlines(
-                task.path,
-                on_bad_record=task.on_bad_record,
-                report=report,
-                start=task.start,
-                end=end,
-            ):
-                state.absorb(value)
-    elif task.ingest == "fused":
-        from repro.io.fastpath import read_jsonlines_fused
-
-        bag = CountedBag()
-        for tau in read_jsonlines_fused(
-            task.path,
-            on_bad_record=task.on_bad_record,
-            report=report,
-            start=task.start,
-            end=end,
-        ):
-            bag.add(tau)
-        state.absorb_bag(bag)
+        # Enrichment needs every record's parsed value, so an enriched
+        # shard absorbs per record through the typed reader instead of
+        # through the bag.  The two are byte-identical on the
+        # structural side (bag order is first-occurrence order), so
+        # enriched partials still strip to the plain partials' bytes.
+        absorb = (
+            absorb_jsonlines_fused
+            if task.enrich is None
+            else absorb_jsonlines_typed
+        )
+        report = absorb(state, task.path, **ranged)
     else:
-        from repro.io.jsonlines import read_jsonlines
-        from repro.jsontypes.types import type_of
+        report = IngestReport(path=task.path, policy=task.on_bad_record)
+        values = read_jsonlines(task.path, report=report, **ranged)
+        if task.enrich is not None:
+            state.absorb_many(values)
+        else:
+            from repro.jsontypes.bag import CountedBag
+            from repro.jsontypes.types import type_of
 
-        bag = CountedBag()
-        for value in read_jsonlines(
-            task.path,
-            on_bad_record=task.on_bad_record,
-            report=report,
-            start=task.start,
-            end=end,
-        ):
-            bag.add(type_of(value))
-        state.absorb_bag(bag)
+            state.absorb_bag(
+                CountedBag.from_types(type_of(value) for value in values)
+            )
     state_bytes = state.to_bytes()
     counters.add("sharding.shards_completed")
     deltas = _snapshot_delta(before, _perf_snapshot())

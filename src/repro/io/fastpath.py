@@ -61,6 +61,7 @@ from repro.io.jsonlines import (
     _open_binary,
     _seek_range_start,
 )
+from repro.jsontypes.bag import CountedBag
 from repro.jsontypes.tokenizer import (
     NUMBER_RE,
     ShapeCache,
@@ -425,21 +426,34 @@ def absorb_jsonlines_fused(
     *,
     on_bad_record: str = "raise",
     shape_cache: Optional[ShapeCache] = None,
+    start: int = 0,
+    end: Optional[int] = None,
 ) -> IngestReport:
-    """One-pass ingestion: stream a file's types straight into a
+    """One-pass ingestion: fold a file's types into a
     :class:`~repro.discovery.state.DiscoveryState`.
 
-    Equivalent to ``state.absorb(value)`` over the classic reader —
-    same resulting state bytes, same report — without ever holding
-    more than one line in memory.  Returns the filled report.
+    The file (or its ``start``/``end`` byte range) is folded into a
+    :class:`~repro.jsontypes.bag.CountedBag` and the bag is absorbed
+    once, so the state is updated at per-*distinct*-type cost.  The
+    result is byte-identical to ``state.absorb(value)`` over the
+    classic reader (bag order is first-occurrence order), with the
+    same report.  Returns the filled report.
+
+    The file is absorbed whole or not at all: if reading raises
+    (:class:`~repro.errors.DatasetError` under the ``raise`` policy,
+    :class:`~repro.errors.RecursionDepthError` for an over-deep
+    record), the state is left untouched.
     """
     report = IngestReport(path=str(path), policy=on_bad_record)
-    absorb_type = state.absorb_type
-    for tau in read_jsonlines_fused(
-        path,
-        on_bad_record=on_bad_record,
-        report=report,
-        shape_cache=shape_cache,
-    ):
-        absorb_type(tau)
+    bag = CountedBag.from_types(
+        read_jsonlines_fused(
+            path,
+            on_bad_record=on_bad_record,
+            report=report,
+            shape_cache=shape_cache,
+            start=start,
+            end=end,
+        )
+    )
+    state.absorb_bag(bag)
     return report

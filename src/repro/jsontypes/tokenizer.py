@@ -303,19 +303,13 @@ def scan_typed(text: str):
 
 
 def depth_exceeds(tau: JsonType, max_depth: int = MAX_DEPTH) -> bool:
-    """Whether a type nests deeper than ``max_depth``, iteratively.
+    """Whether a type nests deeper than ``max_depth``.
 
-    Mirrors the bound ``type_of`` enforces during extraction; iterative
-    so a pathological 900-deep type cannot overflow the checker itself.
+    Mirrors the bound ``type_of`` enforces during extraction.  O(1):
+    types carry their depth from construction, so the fused readers'
+    per-miss check costs nothing proportional to the record.
     """
-    stack = [(tau, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > max_depth:
-            return True
-        for child in node.children():
-            stack.append((child, depth + 1))
-    return False
+    return tau.depth() > max_depth
 
 
 # ---------------------------------------------------------------------------

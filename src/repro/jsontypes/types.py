@@ -70,9 +70,12 @@ class JsonType:
         return iter(())
 
     def depth(self) -> int:
-        """Nesting depth of the type (primitives have depth 1)."""
-        child_depth = max((c.depth() for c in self.children()), default=0)
-        return 1 + child_depth
+        """Nesting depth of the type (primitives have depth 1).
+
+        O(1): every node records its depth when it is built, from its
+        children's already-recorded depths.
+        """
+        return self._depth
 
     def node_count(self) -> int:
         """Total number of type nodes, including this one."""
@@ -91,6 +94,8 @@ class PrimitiveType(JsonType):
 
     _interned: dict = {}
 
+    _depth = 1
+
     def __new__(cls, kind: Kind) -> "PrimitiveType":
         if not kind.is_primitive:
             raise InvalidJsonValueError(f"{kind} is not a primitive kind")
@@ -104,11 +109,10 @@ class PrimitiveType(JsonType):
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("PrimitiveType is immutable")
 
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return hash(self.kind)
+    # Singletons: equality is identity, and the identity hash keeps
+    # hashing a type tuple free of Python-level calls.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         # Unpickling re-enters __new__, which re-interns: primitive
@@ -142,11 +146,12 @@ class ObjectType(JsonType):
     original key order.
     """
 
-    __slots__ = ("fields", "_hash")
+    __slots__ = ("fields", "_hash", "_depth")
 
     kind = Kind.OBJECT
 
     def __init__(self, fields: Mapping[str, JsonType]):
+        depth = 0
         for key, value in fields.items():
             if not isinstance(key, str):
                 raise InvalidJsonValueError(
@@ -156,9 +161,12 @@ class ObjectType(JsonType):
                 raise InvalidJsonValueError(
                     f"field {key!r} maps to non-type {value!r}"
                 )
+            if value._depth > depth:
+                depth = value._depth
         items = tuple(sorted(fields.items()))
         object.__setattr__(self, "fields", items)
         object.__setattr__(self, "_hash", hash(items))
+        object.__setattr__(self, "_depth", depth + 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("ObjectType is immutable")
@@ -213,19 +221,23 @@ class ObjectType(JsonType):
 class ArrayType(JsonType):
     """The type of a JSON array: ``[ τ1, ..., τN ]``."""
 
-    __slots__ = ("elements", "_hash")
+    __slots__ = ("elements", "_hash", "_depth")
 
     kind = Kind.ARRAY
 
     def __init__(self, elements: Sequence[JsonType]):
         items = tuple(elements)
+        depth = 0
         for value in items:
             if not isinstance(value, JsonType):
                 raise InvalidJsonValueError(
                     f"array element is not a type: {value!r}"
                 )
+            if value._depth > depth:
+                depth = value._depth
         object.__setattr__(self, "elements", items)
         object.__setattr__(self, "_hash", hash(items))
+        object.__setattr__(self, "_depth", depth + 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("ArrayType is immutable")

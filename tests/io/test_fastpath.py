@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.engine.dataset import LocalDataset
-from repro.errors import DatasetError
+from repro.errors import DatasetError, RecursionDepthError
 from repro.io.fastpath import (
     absorb_jsonlines_fused,
     ingest_jsonlines_fused,
@@ -125,6 +125,49 @@ def test_absorb_fused_streams_into_state(tmp_path):
     classic_state = state_for_algorithm("l-reduce", None)
     classic_state.absorb_many(ingest_jsonlines(path)[0])
     assert fused_state.to_bytes() == classic_state.to_bytes()
+
+
+@pytest.mark.parametrize("algorithm", ["bimax-merge", "k-reduce", "l-reduce"])
+def test_absorb_fused_is_all_or_nothing_per_file(tmp_path, algorithm):
+    # The file is bag-folded and the bag absorbed once, so a read that
+    # fails part-way leaves the state exactly as it was before the call.
+    from repro.discovery.state import state_for_algorithm
+
+    state = state_for_algorithm(algorithm, None)
+    absorb_jsonlines_fused(
+        state, _write(tmp_path / "ok.jsonl", ['{"a": 1}', '{"b": [1]}'])
+    )
+    before = state.to_bytes()
+    garbage = _write(
+        tmp_path / "garbage.jsonl", ['{"a": 1}', '{"c": true}', "garbage"]
+    )
+    with pytest.raises(DatasetError):
+        absorb_jsonlines_fused(state, garbage)
+    assert state.to_bytes() == before
+    deep = _write(
+        tmp_path / "deep.jsonl", ['{"d": 1}', "[" * 300 + "]" * 300]
+    )
+    with pytest.raises(RecursionDepthError):
+        absorb_jsonlines_fused(state, deep)
+    assert state.to_bytes() == before
+
+
+def test_absorb_fused_byte_range_matches_classic_range(tmp_path):
+    from repro.discovery.state import state_for_algorithm
+    from repro.io.jsonlines import read_jsonlines
+
+    lines = ['{"a": 1}', '{"b": [1, 2]}', '{"a": 2}', '{"c": {"d": null}}']
+    path = _write(tmp_path / "range.jsonl", lines * 5)
+    offsets = [0]
+    for line in lines * 5:
+        offsets.append(offsets[-1] + len(line) + 1)
+    start, end = offsets[1], offsets[10]
+    fused = state_for_algorithm("bimax-merge", None)
+    report = absorb_jsonlines_fused(fused, path, start=start, end=end)
+    classic = state_for_algorithm("bimax-merge", None)
+    classic.absorb_many(read_jsonlines(path, start=start, end=end))
+    assert report.record_count == 9
+    assert fused.to_bytes() == classic.to_bytes()
 
 
 def test_load_jsonlines_ingest_modes(tmp_path):

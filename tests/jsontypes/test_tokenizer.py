@@ -162,6 +162,26 @@ def test_deep_arrays_scan_and_check_iteratively():
     assert not depth_exceeds(deep, 901)
 
 
+def _defined_depth(tau):
+    children = [_defined_depth(child) for child in tau.children()]
+    return 1 + max(children, default=0)
+
+
+@pytest.mark.parametrize("dataset", ["github", "pharma", "yelp-merged"])
+def test_recorded_depth_matches_its_definition(dataset):
+    # depth_exceeds is O(1) because every node records its depth when
+    # built; the recorded value must be the recursive definition, and
+    # must survive the pickle round trip that ships types to workers.
+    import pickle
+
+    from repro.datasets import make_dataset
+
+    for record in make_dataset(dataset).generate(40, seed=3):
+        tau = scan_type(dumps(record))
+        assert tau.depth() == _defined_depth(tau)
+        assert pickle.loads(pickle.dumps(tau)).depth() == tau.depth()
+
+
 # ---------------------------------------------------------------------------
 # Skeleton safety.
 # ---------------------------------------------------------------------------

@@ -1,0 +1,91 @@
+"""The classic reader as the CLI's differential oracle.
+
+``discover`` reads with the fused reader by default, and ``--ingest``
+selects only the reader: both readers yield the same interned types in
+the same order into the same code path.  So default-flag output must be
+byte-identical to ``--ingest classic`` for every algorithm, on corpora
+with few distinct shapes (github), nested collections (pharma) and many
+distinct types (yelp-merged), and under every bad-record policy,
+warning line included.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cli import main
+from repro.datasets import make_dataset
+from repro.discovery import discoverer_names
+from repro.io.jsonlines import write_jsonlines
+
+CORPORA = ("github", "pharma", "yelp-merged")
+ALGORITHMS = discoverer_names()
+RECORDS = 500
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    root = tmp_path_factory.mktemp("oracle")
+    paths = {}
+    for seed, name in enumerate(CORPORA, start=1):
+        path = root / f"{name}.jsonl"
+        write_jsonlines(path, make_dataset(name).generate(RECORDS, seed=seed))
+        paths[name] = path
+    return paths
+
+
+def _discover(path, tmp_path, capsys, *flags):
+    """Schema bytes and stderr of one ``discover --format json`` run."""
+    output = tmp_path / "schema.json"
+    code = main(
+        ["discover", str(path), "--format", "json",
+         "--output", str(output), *flags]
+    )
+    assert code == 0
+    return output.read_bytes(), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_default_output_equals_classic_oracle(
+    corpora, tmp_path, capsys, corpus, algorithm
+):
+    flags = ("--algorithm", algorithm)
+    default = _discover(corpora[corpus], tmp_path, capsys, *flags)
+    oracle = _discover(
+        corpora[corpus], tmp_path, capsys, *flags, "--ingest", "classic"
+    )
+    assert default == oracle
+
+
+#: Good records interleaved with each kind of line the readers must
+#: reject identically: truncated objects, bare garbage, an unterminated
+#: string, a bad escape, and a non-ASCII garbage line.
+MALFORMED_LINES = [
+    '{"id": 1, "tags": ["a"]}',
+    '{"id": 2,',
+    '{"id": 3, "tags": []}',
+    "not json",
+    '{"id": "unterminated}',
+    '{"id": 4, "name": "caf\\u00e9"}',
+    '{"id": "\\x"}',
+    "",
+    '{"id": 5, "tags": ["b", "c"], "extra": null}',
+    "ünïcode garbage",
+    '{"id": 6, "tags": ["d"]}',
+]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("policy", ["skip", "collect"])
+def test_bad_record_policies_match_classic_oracle(
+    tmp_path, capsys, policy, algorithm
+):
+    path = tmp_path / "malformed.jsonl"
+    path.write_text("\n".join(MALFORMED_LINES * 20) + "\n", encoding="utf-8")
+    flags = ("--algorithm", algorithm, "--on-bad-record", policy)
+    schema, err = _discover(path, tmp_path, capsys, *flags)
+    assert (schema, err) == _discover(
+        path, tmp_path, capsys, *flags, "--ingest", "classic"
+    )
+    assert err.startswith(f"warning: {path}: 100 records, 100 bad line(s)")
