@@ -41,7 +41,7 @@ from repro.datasets import PAPER_DATASETS
 from repro.discovery.state import state_for_algorithm
 from repro.engine import SerialExecutor
 from repro.engine.sharding import discover_sharded
-from repro.io.fastpath import read_jsonlines_fused, read_jsonlines_typed
+from repro.io.fastpath import absorb_file
 from repro.metrics.union_accuracy import evaluate_tagged_union_detection
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -89,16 +89,15 @@ def test_enrichment_overhead_and_accuracy():
         # -- plain baseline: the fused scan (shape-cached fast path).
         start = time.perf_counter()
         plain = state_for_algorithm("jxplain")
-        for tau in read_jsonlines_fused(path):
-            plain.absorb_type(tau)
+        absorb_file(plain, path, ingest="fused", on_bad_record="raise")
         plain_s = time.perf_counter() - start
 
-        # -- enriched: the typed scan (values must be materialized, so
-        # no shape cache — this IS the sketch overhead).
+        # -- enriched: the same call on an enriched state takes the
+        # typed scan (values must be materialized, so no shape cache —
+        # this IS the sketch overhead).
         start = time.perf_counter()
         rich = state_for_algorithm("jxplain", enrich=ENRICH)
-        for tau, value in read_jsonlines_typed(path):
-            rich.absorb_typed(tau, value)
+        absorb_file(rich, path, ingest="fused", on_bad_record="raise")
         rich_s = time.perf_counter() - start
 
         # -- correctness before timing is reported: stripping the

@@ -2,9 +2,11 @@
 
 The monitoring scenario the states exist for: a corpus was already
 discovered (and checkpointed); 10% more records arrive.  The naive
-path re-runs the full three-pass pipeline over the concatenated input;
-the incremental path loads the checkpoint, absorbs only the new
-records, and re-synthesizes from the accumulated statistics.  Both
+path absorbs the concatenated input into a fresh state and
+synthesizes; the incremental path loads the checkpoint, absorbs only
+the new records, and re-synthesizes from the accumulated statistics.
+Every file enters its state through
+:func:`repro.io.fastpath.absorb_file`.  Both
 must produce byte-identical schemas (asserted); the incremental path
 must win on wall clock.
 
@@ -25,7 +27,8 @@ from pathlib import Path
 
 from benchmarks.conftest import emit
 from repro.datasets import make_dataset
-from repro.discovery import JxplainPipeline, load_state
+from repro.discovery import load_state, save_state, state_for_algorithm
+from repro.io.fastpath import absorb_file
 from repro.io.jsonlines import write_jsonlines
 from repro.schema import to_json_schema
 
@@ -54,25 +57,30 @@ def _bench_dataset(name: str, base_size: int, workdir: Path) -> dict:
     write_jsonlines(full_path, records)
     checkpoint = workdir / f"{name}.ckpt"
 
+    def absorb(state, path):
+        absorb_file(state, path, ingest="fused", on_bad_record="raise")
+        return state
+
     # The original run, checkpointed (amortized; timed for context).
     start = time.perf_counter()
-    JxplainPipeline().run_file(base_path, checkpoint=checkpoint)
+    base = absorb(state_for_algorithm("jxplain"), base_path)
+    base.synthesize()
+    save_state(base, checkpoint)
     base_run_s = time.perf_counter() - start
 
     # Naive: full re-run over base + append.
     start = time.perf_counter()
-    full = JxplainPipeline().run_file(full_path)
+    full_schema = absorb(state_for_algorithm("jxplain"), full_path).synthesize()
     full_rerun_s = time.perf_counter() - start
 
     # Incremental: load the checkpoint, absorb only the append file,
     # re-synthesize.
     start = time.perf_counter()
-    resumed = JxplainPipeline().run_file(
-        checkpoint=checkpoint, resume=True, append=[append_path]
-    )
+    resumed = absorb(load_state(checkpoint), append_path)
+    resumed_schema = resumed.synthesize()
     resume_s = time.perf_counter() - start
 
-    assert _schema_bytes(resumed.schema) == _schema_bytes(full.schema), (
+    assert _schema_bytes(resumed_schema) == _schema_bytes(full_schema), (
         f"{name}: resumed schema diverged from the full re-run"
     )
     assert resumed.record_count == base_size + append_size
@@ -81,7 +89,7 @@ def _bench_dataset(name: str, base_size: int, workdir: Path) -> dict:
         "base_records": base_size,
         "append_records": append_size,
         "checkpoint_bytes": checkpoint.stat().st_size,
-        "distinct_types": resumed.state.distinct_count,
+        "distinct_types": resumed.distinct_count,
         "base_run_s": round(base_run_s, 4),
         "full_rerun_s": round(full_rerun_s, 4),
         "resume_s": round(resume_s, 4),

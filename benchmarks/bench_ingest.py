@@ -2,17 +2,17 @@
 
 Two corpora (a small one where dispatch overheads dominate and a large
 one where parsing does), each ingested twice into an identical
-discovery state: the classic path (``read_jsonlines`` → ``absorb``,
-i.e. bytes → str → value tree → type) and the fused path
-(``absorb_jsonlines_fused``: bytes → interned type in one pass, with
-the structural-hash shape cache in front).  State bytes are asserted
+discovery state through :func:`repro.io.fastpath.absorb_file`: the
+classic reader (bytes → str → value tree → type) and the fused reader
+(bytes → interned type in one pass, with the structural-hash shape
+cache in front).  State bytes are asserted
 identical on every corpus — the speedup is only meaningful because the
 answer is provably the same.
 
-The small corpus is also pushed through the full three-pass pipeline
-on every executor backend, fused vs. classic, asserting byte-identical
-schemas — the end-to-end wiring check, and (with the process pool's
-warm-started workers) the scenario behind the BENCH_PR1
+The small corpus is also pushed through ``JxplainPipeline.run_file``
+sharded on every executor backend, fused vs. classic, asserting
+byte-identical schemas — the end-to-end wiring check, and (with the
+process pool's warm-started workers) the scenario behind the BENCH_PR1
 processes-slower-than-serial regression.
 
 Results go machine-readably to ``BENCH_PR6.json`` at the repo root and
@@ -35,9 +35,9 @@ from benchmarks.conftest import emit
 from benchmarks.corpus import write_corpus
 from repro.discovery import JxplainPipeline
 from repro.discovery.state import state_for_algorithm
-from repro.io.fastpath import absorb_jsonlines_fused
-from repro.io.jsonlines import read_jsonlines
-from repro.jsontypes.tokenizer import ShapeCache, line_token_count
+from repro.engine.instrument import perf_counters
+from repro.io.fastpath import absorb_file
+from repro.jsontypes.tokenizer import line_token_count
 from repro.schema import to_json_schema
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -73,24 +73,28 @@ def _schema_bytes(schema) -> bytes:
 
 
 def _bench_ingest(path: Path, records: int, stats: dict) -> dict:
-    # Classic: parse values, fold them into a state (type_of inside).
+    # Classic: parse values, type them, fold the types into a state.
     start = time.perf_counter()
     classic_state = state_for_algorithm("l-reduce", None)
-    for value in read_jsonlines(path):
-        classic_state.absorb(value)
+    absorb_file(classic_state, path, ingest="classic", on_bad_record="raise")
     classic_s = time.perf_counter() - start
 
     # Fused: stream interned types straight into an identical state.
-    cache = ShapeCache()
+    before = perf_counters()
     start = time.perf_counter()
     fused_state = state_for_algorithm("l-reduce", None)
-    absorb_jsonlines_fused(fused_state, path, shape_cache=cache)
+    absorb_file(fused_state, path, ingest="fused", on_bad_record="raise")
     fused_s = time.perf_counter() - start
+    after = perf_counters()
 
     assert fused_state.to_bytes() == classic_state.to_bytes(), (
         f"{path.name}: fused state bytes diverged from classic"
     )
-    hit_rate = cache.hits / max(1, cache.hits + cache.misses)
+    hits, misses = (
+        after.get(name, 0) - before.get(name, 0)
+        for name in ("ingest.shape_hits", "ingest.shape_misses")
+    )
+    hit_rate = hits / max(1, hits + misses)
     return {
         "records": records,
         "bytes": stats["bytes"],
@@ -102,7 +106,7 @@ def _bench_ingest(path: Path, records: int, stats: dict) -> dict:
         "classic_tokens_per_s": round(stats["tokens"] / classic_s),
         "fused_tokens_per_s": round(stats["tokens"] / fused_s),
         "shape_hit_rate": round(hit_rate, 4),
-        "shape_cache_size": len(cache),
+        "shape_misses": misses,
         "speedup": round(classic_s / fused_s, 2),
     }
 
@@ -111,12 +115,12 @@ def _bench_pipeline(path: Path) -> dict:
     backends = {}
     for backend in PIPELINE_BACKENDS:
         start = time.perf_counter()
-        classic = JxplainPipeline(executor=backend).run_file(path)
+        classic = JxplainPipeline(executor=backend, shards=2).run_file(path)
         classic_s = time.perf_counter() - start
         start = time.perf_counter()
-        fused = JxplainPipeline(executor=backend, ingest="fused").run_file(
-            path
-        )
+        fused = JxplainPipeline(
+            executor=backend, shards=2, ingest="fused"
+        ).run_file(path)
         fused_s = time.perf_counter() - start
         assert _schema_bytes(fused.schema) == _schema_bytes(classic.schema), (
             f"{backend}: fused pipeline schema diverged from classic"

@@ -26,6 +26,7 @@ from typing import List, Optional
 
 from repro.datasets import dataset_names, make_dataset
 from repro.discovery import EntityStrategy, discoverer_names, make_discoverer
+from repro.errors import ReproError
 from repro.io.jsonlines import (
     INGEST_MODES,
     INGEST_POLICIES,
@@ -420,17 +421,16 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards is not None:
-        return _cmd_discover_sharded(args, overrides)
-    # Checkpointed, resumed, appended and enriched runs need a state
-    # (enrichment lives on it).  --ingest only picks the reader.
+    # Sharded, checkpointed, resumed, appended and enriched runs need a
+    # state (enrichment lives on it).  --ingest only picks the reader.
     if (
-        args.checkpoint
+        args.shards is not None
+        or args.checkpoint
         or args.resume
         or args.append
         or args.enrich is not None
     ):
-        return _cmd_discover_incremental(args, overrides)
+        return _cmd_discover_stateful(args, overrides)
     if args.input is None:
         print(
             "error: discover needs an input file (or --resume)",
@@ -467,193 +467,75 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_discover_sharded(args: argparse.Namespace, overrides: dict) -> int:
-    """Sharded discovery: byte-range fan-out via the shard coordinator.
+def _cmd_discover_stateful(
+    args: argparse.Namespace, overrides: dict
+) -> int:
+    """Discovery through a state: checkpoint, resume, append, enrich
+    and shards compose freely.
 
-    Works for every algorithm (the coordinator goes through the state
-    core), composes with --checkpoint/--resume/--append, and — when a
-    checkpoint is requested — persists per-shard checkpoints so a
-    killed run resumes from completed shards.
+    Every input file enters the state through
+    :func:`repro.io.fastpath.absorb_file`, in this process or (with
+    ``--shards``) in shard workers over byte ranges; with a checkpoint,
+    a sharded file keeps per-shard checkpoints until the state is
+    saved, so a killed run resumes from its completed shards.
     """
-    import hashlib
-    import os
-    import shutil
+    from repro.discovery import JxplainConfig, load_state, state_for_algorithm
+    from repro.engine.sharding import absorb_files, save_checkpoint
 
-    from repro.discovery import JxplainConfig, load_state, save_state
-    from repro.engine.sharding import ShardCoordinator
-    from repro.errors import (
-        CheckpointError,
-        DatasetError,
-        EmptyInputError,
-        EngineError,
-    )
-
-    shards = _parse_count_or_auto(args.shards, "--shards")
+    shards = args.shards
+    if shards is not None and shards != "auto":
+        shards = _parse_count_or_auto(shards, "--shards")
+    if args.resume:
+        if not args.checkpoint:
+            print("error: --resume requires --checkpoint", file=sys.stderr)
+            return 2
+        if overrides:
+            print(
+                "error: --threshold/--strategy options cannot change a "
+                "resumed state; they were fixed when it was created",
+                file=sys.stderr,
+            )
+            return 2
+        state = load_state(args.checkpoint)
+    else:
+        try:
+            state = state_for_algorithm(
+                args.algorithm,
+                JxplainConfig().with_(**overrides) if overrides else None,
+                enrich=args.enrich,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     executor = None
     if args.workers is not None:
         from repro.engine.executor import ProcessExecutor
 
         executor = ProcessExecutor(max_workers=args.workers)
-    algorithm = args.algorithm
-    config = None
-    state = None
-    if args.resume:
-        if not args.checkpoint:
-            print("error: --resume requires --checkpoint", file=sys.stderr)
-            return 2
-        if overrides:
-            print(
-                "error: --threshold/--strategy options cannot change a "
-                "resumed state; they were fixed when it was created",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            state = load_state(args.checkpoint)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        algorithm = state.algorithm
-        config = getattr(state, "config", None)
-        # The checkpoint's enrichment (or its absence) governs: shard
-        # partials must merge into it.
-        enrich = (
-            state.enrichment.options
-            if state.enrichment is not None
-            else None
-        )
-    else:
-        if overrides:
-            config = JxplainConfig().with_(**overrides)
-        enrich = args.enrich
-    sources = [args.input] if args.input else []
-    sources.extend(args.append)
-    fanin = (
-        {} if args.merge_fanin is None else {"merge_fanin": args.merge_fanin}
-    )
-    used_shard_dirs = []
+    paths = [args.input] if args.input else []
+    paths.extend(args.append)
     try:
-        for source in sources:
-            shard_dir = None
-            if args.checkpoint:
-                digest = hashlib.sha256(
-                    str(source).encode("utf-8")
-                ).hexdigest()[:16]
-                shard_dir = os.path.join(
-                    f"{args.checkpoint}.shards", digest
-                )
-            coordinator = ShardCoordinator(
-                algorithm,
-                config,
-                executor=executor,
-                shards=shards,
-                on_bad_record=args.on_bad_record,
-                ingest=args.ingest,
-                checkpoint_dir=shard_dir,
-                enrich=enrich,
-                **fanin,
-            )
-            run = coordinator.run(source)
-            _warn_bad_records(run.report)
-            state = run.state if state is None else state.merge(run.state)
-            if shard_dir is not None:
-                used_shard_dirs.append(shard_dir)
-    except (ValueError, EngineError, CheckpointError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        state, reports = absorb_files(
+            state,
+            paths,
+            ingest=args.ingest,
+            on_bad_record=args.on_bad_record,
+            shards=shards,
+            executor=executor,
+            merge_fanin=args.merge_fanin,
+            checkpoint=args.checkpoint,
+        )
     finally:
         if executor is not None:
             executor.close()
-    if state is None or state.record_count == 0:
-        print("error: input contains no records", file=sys.stderr)
-        return 2
-    try:
-        schema = state.synthesize()
-    except EmptyInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.checkpoint:
-        save_state(state, args.checkpoint)
-        for shard_dir in used_shard_dirs:
-            shutil.rmtree(shard_dir, ignore_errors=True)
-        for shard_dir in used_shard_dirs:
-            try:
-                os.rmdir(os.path.dirname(shard_dir))
-            except OSError:
-                pass
-    _emit_schema(schema, args, state=state)
-    return 0
-
-
-def _cmd_discover_incremental(
-    args: argparse.Namespace, overrides: dict
-) -> int:
-    """Stateful discovery: checkpoint after the run, resume, append."""
-    from repro.discovery import (
-        JxplainConfig,
-        load_state,
-        save_state,
-        state_for_algorithm,
-    )
-    from repro.errors import CheckpointError, EmptyInputError
-    from repro.io.fastpath import (
-        absorb_jsonlines_fused,
-        absorb_jsonlines_typed,
-    )
-
-    if args.resume:
-        if not args.checkpoint:
-            print("error: --resume requires --checkpoint", file=sys.stderr)
-            return 2
-        if overrides:
-            print(
-                "error: --threshold/--strategy options cannot change a "
-                "resumed state; they were fixed when it was created",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            state = load_state(args.checkpoint)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            config = None
-            if overrides:
-                config = JxplainConfig().with_(**overrides)
-            state = state_for_algorithm(
-                args.algorithm, config, enrich=args.enrich
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    sources = [args.input] if args.input else []
-    sources.extend(args.append)
-    # Sketches need the parsed values, so an enriched state reads
-    # (type, value) pairs instead of cache-accelerated bare types.
-    absorb_fused = (
-        absorb_jsonlines_fused
-        if state.enrichment is None
-        else absorb_jsonlines_typed
-    )
-    for source in sources:
-        if args.ingest == "classic":
-            state.absorb_many(_read_input(source, args.on_bad_record))
-        else:
-            _warn_bad_records(
-                absorb_fused(state, source, on_bad_record=args.on_bad_record)
-            )
+    for report in reports:
+        _warn_bad_records(report)
     if state.record_count == 0:
         print("error: input contains no records", file=sys.stderr)
         return 2
-    try:
-        schema = state.synthesize()
-    except EmptyInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    schema = state.synthesize()
     if args.checkpoint:
-        save_state(state, args.checkpoint)
+        save_checkpoint(state, args.checkpoint, paths)
     _emit_schema(schema, args, state=state)
     return 0
 
@@ -833,9 +715,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``jxplain`` console script."""
+    """Entry point for the ``jxplain`` console script.
+
+    Exit codes: 0 on success, 1 when ``validate`` rejects records (or
+    ``diff`` finds a breaking change, or ``lint`` a finding), and 2 for
+    a usage error or a library error (:class:`~repro.errors.ReproError`:
+    malformed or unreadable input, over-deep records, bad checkpoints),
+    which prints ``error: …`` instead of a traceback.
+    """
     try:
         return _dispatch(_build_parser().parse_args(argv))
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that exited early: not an
         # error from the user's point of view.

@@ -1208,14 +1208,6 @@ def loads_schema(data: bytes) -> Schema:
     return _loads("schema", read_schema, data)
 
 
-def dumps_bag(bag: TypeBag) -> bytes:
-    return _dumps("bag", write_bag, bag)
-
-
-def loads_bag(data: bytes) -> TypeBag:
-    return _loads("bag", read_bag, data)
-
-
 def dumps_stat_tree(tree: StatTree) -> bytes:
     return _dumps("stat-tree", write_stat_tree, tree)
 
@@ -1238,38 +1230,6 @@ def dumps_fold_node(node: FoldNode) -> bytes:
 
 def loads_fold_node(data: bytes) -> FoldNode:
     return _loads("fold-node", read_fold_node, data)
-
-
-def dumps_decisions(decisions: CollectionDecisions) -> bytes:
-    return _dumps("decisions", write_decisions, decisions)
-
-
-def loads_decisions(data: bytes) -> CollectionDecisions:
-    return _loads("decisions", read_decisions, data)
-
-
-def dumps_universe(universe: KeySetUniverse) -> bytes:
-    return _dumps("universe", write_universe, universe)
-
-
-def loads_universe(data: bytes) -> KeySetUniverse:
-    return _loads("universe", read_universe, data)
-
-
-def dumps_partitioner(partitioner) -> bytes:
-    return _dumps("partitioner", write_partitioner, partitioner)
-
-
-def loads_partitioner(data: bytes):
-    return _loads("partitioner", read_partitioner, data)
-
-
-def dumps_config(config: JxplainConfig) -> bytes:
-    return _dumps("config", write_config, config)
-
-
-def loads_config(data: bytes) -> JxplainConfig:
-    return _loads("config", read_config, data)
 
 
 def dumps_sketch(sketch) -> bytes:

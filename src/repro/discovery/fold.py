@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Set
 from repro.discovery.config import JxplainConfig
 from repro.discovery.stat_tree import CollectionDecisions
 from repro.entities.partitioner import EntityPartitioner
+from repro.errors import RecursionDepthError
 from repro.heuristics.collection import Designation
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import Path, ROOT, STAR
@@ -112,7 +113,17 @@ class DecidedFolder:
     # -- lift -----------------------------------------------------------------
 
     def lift(self, tau: JsonType, path: Path = ROOT) -> FoldNode:
-        """Turn one record type into a single-record fold node."""
+        """Turn one record type into a single-record fold node.
+
+        A record (lifted at the root) is checked against
+        ``config.max_depth`` with the recursive merger's bound: a leaf
+        nested ``d`` levels below the root is merged at depth ``d``, so
+        a record of type depth ``max_depth + 2`` is refused.
+        """
+        if not path and tau.depth() > self.config.max_depth + 1:
+            raise RecursionDepthError(
+                f"merge exceeded max_depth={self.config.max_depth}"
+            )
         node = FoldNode()
         self._lift_into(node, tau, path)
         return node

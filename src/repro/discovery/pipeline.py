@@ -12,6 +12,12 @@ engine's ``tree_aggregate``.
 Every pass is timed (:class:`~repro.engine.StageTimer`) and counted
 (the dataset's scan counter), which is what the Table 5 runtime bench
 measures.
+
+That is :meth:`JxplainPipeline.run`, the Figure 3 reproduction over a
+:class:`~repro.engine.dataset.LocalDataset`.  Files take the other
+route: :meth:`JxplainPipeline.run_file` absorbs them into a
+:class:`~repro.discovery.state.JxplainState` and runs the same passes
+over its statistics (``JxplainState.synthesize_result``).
 """
 
 from __future__ import annotations
@@ -22,11 +28,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union as TUnio
 
 from repro.discovery.base import Discoverer, register_discoverer
 from repro.discovery.codec import (
-    dumps_bag,
     dumps_fold_node,
     dumps_stat_tree,
     dumps_tuple_shapes,
-    loads_bag,
     loads_fold_node,
     loads_stat_tree,
     loads_tuple_shapes,
@@ -42,7 +46,6 @@ from repro.discovery.stat_tree import (
 from repro.engine.dataset import LocalDataset
 from repro.engine.executor import resolve_executor
 from repro.engine.instrument import StageTimer, counters
-from repro.jsontypes.bag import CountedBag
 from repro.entities.partitioner import EntityPartitioner
 from repro.errors import EmptyInputError
 from repro.heuristics.collection import CollectionEvidence, Designation
@@ -328,33 +331,27 @@ class JxplainPipeline(Discoverer):
 
         ``executor`` selects the engine backend (an
         :class:`~repro.engine.Executor` or a spec string like
-        ``"threads:4"``) used when the pipeline builds its own dataset;
-        a :class:`LocalDataset` passed to :meth:`run` keeps its own.
+        ``"threads:4"``) used when the pipeline builds its own dataset
+        and by sharded :meth:`run_file` runs; a :class:`LocalDataset`
+        passed to :meth:`run` keeps its own.
 
         ``robustness`` installs the DESIGN.md §8 failure model: its
         retry policy supervises every per-partition task of every pass
-        (on whichever backend the dataset carries), and its
-        ``on_bad_record`` policy governs :meth:`run_file` ingestion.
+        of :meth:`run` (on whichever backend the dataset carries), and
+        its ``on_bad_record`` policy governs :meth:`run_file`
+        ingestion.
 
-        ``ingest`` selects how :meth:`run_file` reads files:
-        ``"classic"`` parses values, ``"fused"`` streams interned
-        record types via :mod:`repro.io.fastpath` (same schema, same
-        report, one pass over the bytes).
-
-        ``shards`` switches :meth:`run_file` onto the sharded
-        byte-range path of :mod:`repro.engine.sharding`: ``"auto"``
-        sizes the shard count adaptively, an integer fixes it, and
-        ``None`` (default) keeps the in-driver ingestion.  Sharded
-        runs never materialize records in the driver — workers ship
-        serialized state partials, merged with fan-in ``merge_fanin``
-        — and produce byte-identical states/schemas to unsharded
-        runs.
-
+        The rest configure :meth:`run_file`.  ``ingest`` picks the
+        reader: ``"classic"`` parses values, ``"fused"`` streams
+        interned record types (same schema, same report).  ``shards``
+        reads each file as newline-aligned byte ranges in workers
+        (:mod:`repro.engine.sharding`): ``"auto"`` sizes the shard
+        count adaptively, an integer fixes it, and ``None`` (default)
+        reads in this process; partials merge with fan-in
+        ``merge_fanin``, byte-identical to an unsharded run.
         ``enrich`` (an ``--enrich`` spec string or
-        :class:`~repro.discovery.sketches.EnrichmentOptions`) makes
-        :meth:`run_file` collect the PR-8 value-domain sidecar while
-        it discovers; enriched runs always route through the state
-        core (sketches need the parsed values) and leave the
+        :class:`~repro.discovery.sketches.EnrichmentOptions`) collects
+        the value-domain sidecar alongside discovery and leaves the
         structural schema unchanged.  On resume, the checkpoint's own
         enrichment (or its absence) governs, like its config.
         """
@@ -387,18 +384,9 @@ class JxplainPipeline(Discoverer):
     # -- the three passes ------------------------------------------------------
 
     def run(
-        self,
-        data: TUnion[LocalDataset, Iterable[JsonValue]],
-        *,
-        build_state: bool = False,
+        self, data: TUnion[LocalDataset, Iterable[JsonValue]]
     ) -> PipelineResult:
-        """Run all three passes and return schema + diagnostics.
-
-        ``build_state`` additionally aggregates the record-type bag
-        into a checkpointable
-        :class:`~repro.discovery.state.JxplainState` (one extra scan),
-        attached to the result as ``state``.
-        """
+        """Run all three passes and return schema + diagnostics."""
         timer = StageTimer()
         if isinstance(data, LocalDataset):
             dataset = data
@@ -473,19 +461,6 @@ class JxplainPipeline(Discoverer):
                     extractor=extractor,
                 )
                 schema = merger.merge(types.collect())
-        state = None
-        if build_state:
-            from repro.discovery.state import JxplainState
-
-            with timer.stage("state-build"):
-                bag = types.tree_aggregate_serialized(
-                    CountedBag,
-                    _bag_add,
-                    _bag_merge,
-                    dumps=dumps_bag,
-                    loads=loads_bag,
-                )
-                state = JxplainState.from_bag(bag, self.config)
         return PipelineResult(
             schema=schema,
             decisions=decisions,
@@ -497,7 +472,6 @@ class JxplainPipeline(Discoverer):
                 if heuristic_types is types
                 else types.count()
             ),
-            state=state,
         )
 
     def run_file(
@@ -508,32 +482,40 @@ class JxplainPipeline(Discoverer):
         resume: bool = False,
         append: Sequence = (),
     ) -> PipelineResult:
-        """Ingest ``.jsonl`` input and run the three passes.
+        """Discover the schema of ``.jsonl`` input through the state.
 
-        Files are read under the robustness config's ``on_bad_record``
-        policy (``raise`` when no config is set); the resulting
+        Loads (``resume=True``) or creates a
+        :class:`~repro.discovery.state.JxplainState`, absorbs ``path``
+        and the ``append`` files into it
+        (:func:`~repro.engine.sharding.absorb_files`), and runs passes
+        ①–③ over its statistics.  Files are read under the robustness
+        config's ``on_bad_record`` policy (``raise`` when no config is
+        set); the resulting
         :class:`~repro.io.jsonlines.IngestReport` rides along on the
         :class:`PipelineResult`.
 
-        ``checkpoint`` names a state file: after the run, the
-        accumulated :class:`~repro.discovery.state.JxplainState` is
+        ``checkpoint`` names a state file: after the run, the state is
         saved there (atomically) and returned on the result.  With
-        ``resume=True`` the run starts *from* that checkpoint instead
-        of from scratch — only the ``append`` files (plus ``path``, if
-        given) are read and absorbed, and the schema is re-synthesized
-        from the combined statistics.  Resume-then-append is equivalent
-        to one-shot discovery over the concatenated input (property-
-        tested), which is what makes checkpoints safe to chain.
+        ``resume=True`` the run starts *from* that checkpoint, whose
+        configuration and enrichment govern.  Resume-then-append is
+        equivalent to one-shot discovery over the concatenated input
+        (property-tested), which is what makes checkpoints safe to
+        chain.
         """
-        from repro.discovery.state import JxplainState, load_state, save_state
-
-        policy = (
-            self.robustness.on_bad_record
-            if self.robustness is not None
-            else "raise"
+        from repro.discovery.state import (
+            JxplainState,
+            load_state,
+            state_for_algorithm,
         )
-        new_files = [f for f in ([path] if path is not None else [])]
-        new_files.extend(append)
+        from repro.engine.sharding import absorb_files, save_checkpoint
+
+        if self.heuristic_sample is not None and self.heuristic_sample < 1.0:
+            raise ValueError(
+                "heuristic_sample applies to run(); run_file synthesizes "
+                "from the full statistics"
+            )
+        paths = [path] if path is not None else []
+        paths.extend(append)
         if resume:
             if checkpoint is None:
                 raise ValueError("resume=True requires a checkpoint path")
@@ -545,197 +527,30 @@ class JxplainPipeline(Discoverer):
                     f"checkpoint holds a {state.algorithm!r} state; "
                     "the pipeline resumes jxplain states only"
                 )
-            # The checkpoint's configuration governs: it is part of the
-            # meaning of the accumulated evidence.  Likewise its
-            # enrichment (or its absence).
             self.config = state.config
-            resumed_enrich = (
-                state.enrichment.options
-                if state.enrichment is not None
-                else None
-            )
-            timer = StageTimer()
-            reports = []
-            used_shard_dirs = []
-            if self.shards is not None:
-                if new_files:
-                    shard_state, reports, used_shard_dirs = (
-                        self._run_sharded(
-                            new_files,
-                            policy,
-                            timer,
-                            checkpoint,
-                            enrich=resumed_enrich,
-                        )
-                    )
-                    with timer.stage("resume-merge"):
-                        state = state.merge(shard_state)
-            else:
-                with timer.stage("resume-absorb"):
-                    if self.ingest == "fused":
-                        if resumed_enrich is not None:
-                            # Sketches need the parsed values; the
-                            # typed reader keeps the one-pass shape.
-                            from repro.io.fastpath import (
-                                absorb_jsonlines_typed,
-                            )
-
-                            for new_file in new_files:
-                                reports.append(
-                                    absorb_jsonlines_typed(
-                                        state,
-                                        new_file,
-                                        on_bad_record=policy,
-                                    )
-                                )
-                        else:
-                            from repro.io.fastpath import (
-                                absorb_jsonlines_fused,
-                            )
-
-                            for new_file in new_files:
-                                reports.append(
-                                    absorb_jsonlines_fused(
-                                        state,
-                                        new_file,
-                                        on_bad_record=policy,
-                                    )
-                                )
-                    else:
-                        from repro.io.jsonlines import ingest_jsonlines
-
-                        for new_file in new_files:
-                            records, report = ingest_jsonlines(
-                                new_file, on_bad_record=policy
-                            )
-                            reports.append(report)
-                            for record in records:
-                                state.absorb(record)
-            with timer.stage("resume-synthesis"):
-                (
-                    schema,
-                    decisions,
-                    object_partitioners,
-                    array_partitioners,
-                ) = state.synthesize_result()
-            save_state(state, checkpoint)
-            self._cleanup_shard_dirs(used_shard_dirs)
-            return PipelineResult(
-                schema=schema,
-                decisions=decisions,
-                object_partitioners=object_partitioners,
-                array_partitioners=array_partitioners,
-                timer=timer,
-                record_count=state.record_count,
-                ingest_report=(
-                    reports[0] if len(reports) == 1 else (reports or None)
-                ),
-                state=state,
-            )
-        if not new_files:
+        elif not paths:
             raise ValueError("run_file needs an input path (or resume=True)")
-        if self.shards is None and self.enrich is not None:
-            # Fresh enriched unsharded run: the dataset pipeline maps
-            # records to bare types (enrichment would lose the
-            # values), so route through the state core serially.
-            return self._run_enriched_serial(
-                new_files, policy, checkpoint
+        else:
+            state = state_for_algorithm(
+                "jxplain", self.config, enrich=self.enrich
             )
-        if self.shards is not None:
-            timer = StageTimer()
-            state, reports, used_shard_dirs = self._run_sharded(
-                new_files, policy, timer, checkpoint, enrich=self.enrich
-            )
-            with timer.stage("shard-synthesis"):
-                (
-                    schema,
-                    decisions,
-                    object_partitioners,
-                    array_partitioners,
-                ) = state.synthesize_result()
-            if checkpoint is not None:
-                save_state(state, checkpoint)
-                self._cleanup_shard_dirs(used_shard_dirs)
-            return PipelineResult(
-                schema=schema,
-                decisions=decisions,
-                object_partitioners=object_partitioners,
-                array_partitioners=array_partitioners,
-                timer=timer,
-                record_count=state.record_count,
-                ingest_report=(
-                    reports[0] if len(reports) == 1 else (reports or None)
-                ),
-                state=state,
-            )
-        dataset = None
-        ingest_report = None
-        for new_file in new_files:
-            part = LocalDataset.from_jsonlines(
-                new_file,
-                self.num_partitions,
-                executor=self.executor,
-                on_bad_record=policy,
-                ingest=self.ingest,
-            )
-            if dataset is None:
-                dataset, ingest_report = part, part.ingest_report
-            else:
-                dataset = dataset.union(part)
-                ingest_report = [
-                    *(
-                        ingest_report
-                        if isinstance(ingest_report, list)
-                        else [ingest_report]
-                    ),
-                    part.ingest_report,
-                ]
-        result = self.run(dataset, build_state=checkpoint is not None)
-        result.ingest_report = ingest_report
-        if checkpoint is not None:
-            save_state(result.state, checkpoint)
-        return result
-
-    # -- the enriched serial path ----------------------------------------------
-
-    def _run_enriched_serial(self, new_files, policy, checkpoint):
-        """Fresh enriched discovery through the state core.
-
-        One serial pass per file — typed reader under ``fused``
-        ingestion, value absorption under ``classic`` — then
-        synthesis from the accumulated state, exactly as a resumed
-        run would do it.  The structural schema is byte-identical to
-        the dataset pipeline's (the state core and the fold agree;
-        property-tested).
-        """
-        from repro.discovery.state import save_state, state_for_algorithm
-
         timer = StageTimer()
-        state = state_for_algorithm(
-            "jxplain", self.config, enrich=self.enrich
+        state, reports = absorb_files(
+            state,
+            paths,
+            ingest=self.ingest,
+            on_bad_record=(
+                self.robustness.on_bad_record
+                if self.robustness is not None
+                else "raise"
+            ),
+            shards=self.shards,
+            executor=self.executor,
+            merge_fanin=self.merge_fanin,
+            checkpoint=checkpoint,
+            timer=timer,
         )
-        reports = []
-        with timer.stage("enrich-absorb"):
-            if self.ingest == "fused":
-                from repro.io.fastpath import absorb_jsonlines_typed
-
-                for new_file in new_files:
-                    reports.append(
-                        absorb_jsonlines_typed(
-                            state, new_file, on_bad_record=policy
-                        )
-                    )
-            else:
-                from repro.io.jsonlines import ingest_jsonlines
-
-                for new_file in new_files:
-                    records, report = ingest_jsonlines(
-                        new_file, on_bad_record=policy
-                    )
-                    reports.append(report)
-                    for record in records:
-                        state.absorb(record)
-        with timer.stage("enrich-synthesis"):
+        with timer.stage("synthesis"):
             (
                 schema,
                 decisions,
@@ -743,7 +558,7 @@ class JxplainPipeline(Discoverer):
                 array_partitioners,
             ) = state.synthesize_result()
         if checkpoint is not None:
-            save_state(state, checkpoint)
+            save_checkpoint(state, checkpoint, paths)
         return PipelineResult(
             schema=schema,
             decisions=decisions,
@@ -756,85 +571,6 @@ class JxplainPipeline(Discoverer):
             ),
             state=state,
         )
-
-    # -- the sharded ingestion path --------------------------------------------
-
-    @staticmethod
-    def _shard_checkpoint_dir(checkpoint, new_file):
-        """Per-file shard checkpoint directory under the main
-        checkpoint, or ``None`` when no checkpoint was requested.
-
-        Keyed by a digest of the file path (the shard manifest
-        validates the full parameter set, so the name only has to be
-        distinct per file).
-        """
-        if checkpoint is None:
-            return None
-        import hashlib
-        import os
-
-        digest = hashlib.sha256(
-            os.fspath(new_file).encode("utf-8")
-        ).hexdigest()[:16]
-        return os.path.join(f"{os.fspath(checkpoint)}.shards", digest)
-
-    def _run_sharded(self, new_files, policy, timer, checkpoint, enrich=None):
-        """Sharded discovery of ``new_files``: merged state + reports.
-
-        One :class:`~repro.engine.sharding.ShardCoordinator` run per
-        file (file order = merge order, so the merged state's bytes
-        equal a serial scan of the concatenated input), sharing
-        ``timer``.  With a checkpoint, each file gets a per-shard
-        checkpoint directory so a killed run resumes from completed
-        shards; the directories used are returned for cleanup once the
-        merged checkpoint is durable.
-        """
-        from repro.engine.sharding import ShardCoordinator
-
-        shards = None if self.shards == "auto" else self.shards
-        fanin = {} if self.merge_fanin is None else {
-            "merge_fanin": self.merge_fanin
-        }
-        state = None
-        reports = []
-        used_dirs = []
-        for new_file in new_files:
-            shard_dir = self._shard_checkpoint_dir(checkpoint, new_file)
-            coordinator = ShardCoordinator(
-                "jxplain",
-                self.config,
-                executor=self.executor,
-                shards=shards,
-                on_bad_record=policy,
-                ingest=self.ingest,
-                checkpoint_dir=shard_dir,
-                enrich=enrich,
-                **fanin,
-            )
-            run = coordinator.run(new_file, timer=timer)
-            state = (
-                run.state if state is None else state.merge(run.state)
-            )
-            reports.append(run.report)
-            if shard_dir is not None:
-                used_dirs.append(shard_dir)
-        return state, reports, used_dirs
-
-    @staticmethod
-    def _cleanup_shard_dirs(shard_dirs) -> None:
-        """Drop per-shard checkpoints once the merged state is saved
-        (the shard files only matter while a run can still be
-        killed)."""
-        import os
-        import shutil
-
-        for shard_dir in shard_dirs:
-            shutil.rmtree(shard_dir, ignore_errors=True)
-        for shard_dir in shard_dirs:
-            try:
-                os.rmdir(os.path.dirname(shard_dir))
-            except OSError:
-                pass
 
     @staticmethod
     def _ensure_type(record: TUnion[JsonType, JsonValue]) -> JsonType:
@@ -881,15 +617,6 @@ def _shape_add(
 
 def _fold_add(node: FoldNode, tau: JsonType, folder: DecidedFolder) -> FoldNode:
     return folder.combine(node, folder.lift(tau))
-
-
-def _bag_add(bag: CountedBag, tau: JsonType) -> CountedBag:
-    bag.add(tau)
-    return bag
-
-
-def _bag_merge(left: CountedBag, right: CountedBag) -> CountedBag:
-    return left.merge(right)
 
 
 # The partitioned pipeline is a first-class discoverer: registering it

@@ -358,16 +358,6 @@ class JxplainState(DiscoveryState):
         self.bag = CountedBag()
         self.tree = StatTree(similarity_depth=self.config.similarity_depth)
 
-    @classmethod
-    def from_bag(
-        cls, bag, config: Optional[JxplainConfig] = None
-    ) -> "JxplainState":
-        """Build a state from an existing bag of types."""
-        state = cls(config)
-        for tau, count in bag.items():
-            state.absorb_type(tau, count)
-        return state
-
     def absorb_type(self, tau: JsonType, count: int = 1) -> None:
         self.bag.add(tau, count)
         self.tree.add(tau, count)

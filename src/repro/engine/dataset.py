@@ -22,6 +22,12 @@ driver, never in workers, so pass counts stay exact under any backend.
 Partition lists are treated as immutable throughout — transformations
 build fresh lists and never mutate their input — which is what lets
 :meth:`union` share them and workers read them without copies.
+
+Datasets hold in-memory records (:meth:`LocalDataset.from_records`)
+and serve the §4.2 Figure 3 reproduction
+(``JxplainPipeline.run``).  Files never become datasets: they enter
+discovery through :func:`repro.io.fastpath.absorb_file`, sharded or
+not (:mod:`repro.engine.sharding`).
 """
 
 from __future__ import annotations
@@ -129,8 +135,6 @@ class LocalDataset(Generic[T]):
         # The scan counter is shared across derived datasets so that a
         # whole pipeline's pass count accumulates in one place.
         self._scan_counter = _scan_counter if _scan_counter is not None else [0]
-        #: Filled by :meth:`from_jsonlines`; None for in-memory data.
-        self.ingest_report = None
 
     # -- construction --------------------------------------------------------
 
@@ -160,110 +164,6 @@ class LocalDataset(Generic[T]):
         for index, record in enumerate(records):
             partitions[index % num_partitions].append(record)
         return cls(partitions, executor=executor)
-
-    @classmethod
-    def from_jsonlines(
-        cls,
-        path,
-        num_partitions: Optional[int] = DEFAULT_PARTITIONS,
-        *,
-        executor: Optional[Executor] = None,
-        on_bad_record: str = "raise",
-        ingest: str = "classic",
-    ) -> "LocalDataset":
-        """Ingest a ``.jsonl`` file straight into a dataset.
-
-        ``on_bad_record`` is the error-channel policy of
-        :func:`repro.io.jsonlines.read_jsonlines`; the resulting
-        per-file :class:`~repro.io.jsonlines.IngestReport` is attached
-        to the returned dataset as :attr:`ingest_report` (derived
-        datasets do not inherit it — it describes this one file).
-
-        ``ingest="fused"`` loads the records' interned *types* (via
-        :func:`repro.io.fastpath.ingest_jsonlines_fused`) instead of
-        their values — the natural input for type-level discovery.
-        ``num_partitions=None`` picks the partition count adaptively
-        (see :meth:`from_records`).
-        """
-        from repro.io.jsonlines import _check_ingest_mode
-
-        _check_ingest_mode(ingest)
-        if ingest == "fused":
-            from repro.io.fastpath import ingest_jsonlines_fused
-
-            records, report = ingest_jsonlines_fused(
-                path, on_bad_record=on_bad_record
-            )
-        else:
-            from repro.io.jsonlines import ingest_jsonlines
-
-            records, report = ingest_jsonlines(
-                path, on_bad_record=on_bad_record
-            )
-        dataset = cls.from_records(
-            records, num_partitions, executor=executor
-        )
-        dataset.ingest_report = report
-        return dataset
-
-    @classmethod
-    def from_jsonlines_sharded(
-        cls,
-        path,
-        shards: Optional[int] = None,
-        *,
-        executor: Optional[Executor] = None,
-        on_bad_record: str = "raise",
-        ingest: str = "classic",
-    ) -> "LocalDataset":
-        """Ingest a ``.jsonl`` file with the read itself fanned out.
-
-        The file is split into newline-aligned byte ranges
-        (:func:`repro.engine.sharding.plan_shards`; ``shards=None``
-        sizes the count adaptively) and each range is parsed by a
-        separate executor task, becoming one partition of the result.
-        Parsing — the dominant cost of classic ingestion — thus runs
-        in parallel, and the merged
-        :class:`~repro.io.jsonlines.IngestReport` (exact whole-file
-        line numbers) is attached as :attr:`ingest_report`.
-
-        The records do cross the pool boundary as pickled objects, so
-        for pure discovery prefer
-        :class:`~repro.engine.sharding.ShardCoordinator`, which ships
-        compact state bytes instead.
-        """
-        from repro.engine.sharding import ShardTask, ingest_shard, plan_shards
-        from repro.io.jsonlines import _check_ingest_mode, merge_ingest_reports
-
-        _check_ingest_mode(ingest)
-        backend = resolve_executor(executor)
-        plan = plan_shards(path, shards, backend.workers)
-        tasks = [
-            ShardTask(
-                index=index,
-                path=plan.path,
-                start=start,
-                end=end,
-                on_bad_record=on_bad_record,
-                ingest=ingest,
-            )
-            for index, (start, end) in enumerate(plan.ranges)
-        ]
-        results = [
-            result
-            for result in backend.map_list(ingest_shard, tasks)
-            if result is not None
-        ]
-        results.sort(key=lambda result: result[0])
-        dataset = cls(
-            [records for _, records, _ in results], executor=backend
-        )
-        dataset.ingest_report = merge_ingest_reports(
-            [report for _, _, report in results],
-            path=plan.path,
-            policy=on_bad_record,
-        )
-        return dataset
 
     def _derive(self, partitions: List[List[U]]) -> "LocalDataset[U]":
         return LocalDataset(

@@ -12,12 +12,11 @@ back.  This module removes the driver from the data path entirely:
   that cannot be range-split (gzip, empty) become one whole-file
   shard.
 * **Per-shard discovery** (:func:`_run_shard`, the picklable worker
-  body) runs in warm-started worker processes.  Each worker ingests
-  its own byte range directly (fused path by default, building its
-  own intern pool and shape cache), folds the range into a
-  :class:`~repro.jsontypes.bag.CountedBag`, absorbs the bag into a
-  fresh state at per-*distinct*-type cost, and ships back the state's
-  ``to_bytes()`` — codec bytes, not a pickled object graph.
+  body) runs in warm-started worker processes.  Each worker folds its
+  own byte range into a fresh state with
+  :func:`~repro.io.fastpath.absorb_file` — the same call an unsharded
+  run makes in the coordinating process — and ships back the state's
+  ``to_bytes()``: codec bytes, not a pickled object graph.
 * **Tree-merge**: the driver decodes the partials and merges them in
   shard-index order with configurable fan-in.  Merge associativity is
   byte-exact (property-tested), so any fan-in yields bytes identical
@@ -33,6 +32,12 @@ back.  This module removes the driver from the data path entirely:
   parameters; a killed run re-uses every completed shard's checkpoint
   and recomputes only the rest, byte-identical to an uninterrupted
   run.
+* **The per-file loop** (:func:`absorb_files`) is how the CLI and
+  ``JxplainPipeline.run_file`` absorb their inputs, sharded or not: a
+  sharded run differs from an unsharded one only in which process
+  calls ``absorb_file``.  It also owns the per-file shard checkpoint
+  layout (:func:`_shard_checkpoint_dir`) and its cleanup
+  (:func:`save_checkpoint`).
 
 Counter accounting survives the process boundary: each worker
 snapshots the engine counters and the jsontypes intern/similarity
@@ -52,8 +57,10 @@ offset is unavailable at raise time).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -143,25 +150,19 @@ def plan_shards(path, shards: Optional[int], workers: int) -> ShardPlan:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One shard's work order (picklable; crosses the pool boundary).
-
-    ``algorithm`` is empty for record-level ingestion tasks
-    (:func:`ingest_shard`), which read a range without discovering.
-    """
+    """One shard's work order (picklable; crosses the pool boundary)."""
 
     index: int
     path: str
     start: int
     end: Optional[int]
-    algorithm: str = ""
+    algorithm: str
     config: Optional[object] = None
     on_bad_record: str = "raise"
     ingest: str = "fused"
     checkpoint_dir: Optional[str] = None
     #: Parsed :class:`~repro.discovery.sketches.EnrichmentOptions`
-    #: (frozen, picklable) or ``None``.  Enriched shards ingest with
-    #: the typed reader — sketches need the parsed values, so the
-    #: structural-hash fast path and the bag fold don't apply.
+    #: (frozen, picklable) or ``None``.
     enrich: Optional[object] = None
 
 
@@ -279,55 +280,13 @@ def _load_shard_checkpoint(task: ShardTask) -> Optional[ShardResult]:
     )
 
 
-def ingest_shard(task: ShardTask):
-    """Read one shard's records (no discovery): ``(index, records,
-    report)``.
-
-    The record-level sibling of :func:`_run_shard`, for consumers
-    that need the records themselves
-    (:meth:`~repro.engine.dataset.LocalDataset.from_jsonlines_sharded`).
-    Note the records cross the pool boundary as pickled objects — far
-    heavier than state bytes — so discovery should go through
-    :class:`ShardCoordinator` instead.
-    """
-    from repro.io.jsonlines import IngestReport
-
-    report = IngestReport(path=task.path, policy=task.on_bad_record)
-    if task.ingest == "fused":
-        from repro.io.fastpath import read_jsonlines_fused
-
-        records = list(
-            read_jsonlines_fused(
-                task.path,
-                on_bad_record=task.on_bad_record,
-                report=report,
-                start=task.start,
-                end=task.end,
-            )
-        )
-    else:
-        from repro.io.jsonlines import read_jsonlines
-
-        records = list(
-            read_jsonlines(
-                task.path,
-                on_bad_record=task.on_bad_record,
-                report=report,
-                start=task.start,
-                end=task.end,
-            )
-        )
-    return task.index, records, report
-
-
 def _run_shard(task: ShardTask) -> ShardResult:
     """The worker body: one shard's range → serialized state partial.
 
     Module-level and argument-picklable, so the process backend ships
-    it for real.  Reads the byte range with the selected reader, folds
-    it into a :class:`~repro.jsontypes.bag.CountedBag`, and absorbs
-    the bag — byte-identical to per-record absorption (bag order is
-    first-occurrence order) at per-distinct-type cost.
+    it for real.  The range enters a fresh state through
+    :func:`~repro.io.fastpath.absorb_file`, the same call an unsharded
+    run makes in the coordinating process.
     """
     if task.checkpoint_dir is not None:
         cached = _load_shard_checkpoint(task)
@@ -337,46 +296,20 @@ def _run_shard(task: ShardTask) -> ShardResult:
             return cached
 
     from repro.discovery.state import state_for_algorithm
-    from repro.io.jsonlines import IngestReport, read_jsonlines
+    from repro.io.fastpath import absorb_file
 
     before = _perf_snapshot()
     state = state_for_algorithm(
         task.algorithm, task.config, enrich=task.enrich
     )
-    ranged = {
-        "on_bad_record": task.on_bad_record,
-        "start": task.start,
-        "end": task.end,
-    }
-    if task.ingest == "fused":
-        from repro.io.fastpath import (
-            absorb_jsonlines_fused,
-            absorb_jsonlines_typed,
-        )
-
-        # Enrichment needs every record's parsed value, so an enriched
-        # shard absorbs per record through the typed reader instead of
-        # through the bag.  The two are byte-identical on the
-        # structural side (bag order is first-occurrence order), so
-        # enriched partials still strip to the plain partials' bytes.
-        absorb = (
-            absorb_jsonlines_fused
-            if task.enrich is None
-            else absorb_jsonlines_typed
-        )
-        report = absorb(state, task.path, **ranged)
-    else:
-        report = IngestReport(path=task.path, policy=task.on_bad_record)
-        values = read_jsonlines(task.path, report=report, **ranged)
-        if task.enrich is not None:
-            state.absorb_many(values)
-        else:
-            from repro.jsontypes.bag import CountedBag
-            from repro.jsontypes.types import type_of
-
-            state.absorb_bag(
-                CountedBag.from_types(type_of(value) for value in values)
-            )
+    report = absorb_file(
+        state,
+        task.path,
+        ingest=task.ingest,
+        on_bad_record=task.on_bad_record,
+        start=task.start,
+        end=task.end,
+    )
     state_bytes = state.to_bytes()
     counters.add("sharding.shards_completed")
     deltas = _snapshot_delta(before, _perf_snapshot())
@@ -658,3 +591,98 @@ def discover_sharded(
         enrich=enrich,
     )
     return coordinator.run(path, timer=timer)
+
+
+def _shard_checkpoint_dir(checkpoint, path) -> str:
+    """Where a run checkpointed at ``checkpoint`` keeps ``path``'s
+    per-shard checkpoints.
+
+    Keyed by a digest of the file path: the shard manifest validates
+    the full parameter set, so the name only has to be distinct per
+    file.
+    """
+    digest = hashlib.sha256(os.fspath(path).encode("utf-8")).hexdigest()[:16]
+    return os.path.join(f"{os.fspath(checkpoint)}.shards", digest)
+
+
+def absorb_files(
+    state,
+    paths: Sequence,
+    *,
+    ingest: str,
+    on_bad_record: str,
+    shards=None,
+    executor=None,
+    merge_fanin: Optional[int] = None,
+    checkpoint=None,
+    timer: Optional[StageTimer] = None,
+):
+    """Absorb ``paths`` into ``state`` in order: ``(state, reports)``.
+
+    With ``shards=None`` each file is one
+    :func:`~repro.io.fastpath.absorb_file` call in this process.
+    Otherwise (``"auto"`` or a count) each file is one
+    :class:`ShardCoordinator` run, whose workers make the same call
+    over byte ranges, and its merged partial is merged into ``state``;
+    file order is merge order, so the bytes equal an unsharded run's.
+    The state may be replaced by the merge, so use the returned one.
+
+    With a ``checkpoint`` path, a sharded file keeps its per-shard
+    checkpoints in :func:`_shard_checkpoint_dir`, so a killed run
+    resumes from its completed shards; :func:`save_checkpoint`
+    removes them once the merged state is saved.
+    """
+    from repro.io.fastpath import absorb_file
+
+    timer = timer if timer is not None else StageTimer()
+    reports = []
+    for path in paths:
+        if shards is None:
+            with timer.stage("absorb"):
+                reports.append(
+                    absorb_file(
+                        state,
+                        path,
+                        ingest=ingest,
+                        on_bad_record=on_bad_record,
+                    )
+                )
+            continue
+        coordinator = ShardCoordinator(
+            state.algorithm,
+            getattr(state, "config", None),
+            executor=executor,
+            shards=None if shards == "auto" else shards,
+            merge_fanin=(
+                DEFAULT_MERGE_FANIN if merge_fanin is None else merge_fanin
+            ),
+            on_bad_record=on_bad_record,
+            ingest=ingest,
+            checkpoint_dir=(
+                None
+                if checkpoint is None
+                else _shard_checkpoint_dir(checkpoint, path)
+            ),
+            enrich=getattr(state.enrichment, "options", None),
+        )
+        run = coordinator.run(path, timer=timer)
+        state = state.merge(run.state)
+        reports.append(run.report)
+    return state, reports
+
+
+def save_checkpoint(state, checkpoint, paths: Sequence) -> None:
+    """Save ``state`` to ``checkpoint``, then drop the per-shard
+    checkpoints :func:`absorb_files` kept for ``paths`` (they only
+    matter while a run can still be killed)."""
+    from repro.discovery.state import save_state
+
+    save_state(state, checkpoint)
+    for path in paths:
+        shutil.rmtree(
+            _shard_checkpoint_dir(checkpoint, path), ignore_errors=True
+        )
+    try:
+        os.rmdir(f"{os.fspath(checkpoint)}.shards")
+    except OSError:
+        pass

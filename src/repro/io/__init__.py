@@ -2,7 +2,7 @@
 bytes-to-type fast path, and sampling."""
 
 from repro.io.fastpath import (
-    absorb_jsonlines_fused,
+    absorb_file,
     ingest_jsonlines_fused,
     open_line_source,
     read_jsonlines_fused,
@@ -41,7 +41,7 @@ __all__ = [
     "PAPER_TRAINING_FRACTIONS",
     "PAPER_TRIALS",
     "TrainTestSplit",
-    "absorb_jsonlines_fused",
+    "absorb_file",
     "ingest_jsonlines",
     "ingest_jsonlines_fused",
     "load_jsonlines",

@@ -37,6 +37,10 @@ values, so it serves discovery (and anything else that is a function
 of types only); consumers that need the values keep the classic
 reader.
 
+:func:`absorb_file` is the one way a file enters a discovery state:
+it picks this reader, its ``(type, value)`` sibling
+:func:`read_jsonlines_typed` (enriched states) or the classic reader.
+
 Counters (flushed once per file, not per line):
 ``ingest.fused_records``, ``ingest.shape_hits``,
 ``ingest.shape_misses``, ``ingest.bytes``, and the shared
@@ -56,10 +60,12 @@ from repro.io.jsonlines import (
     IngestReport,
     PathLike,
     _BOM_BYTES,
+    _check_ingest_mode,
     _check_policy,
     _note_bad_record,
     _open_binary,
     _seek_range_start,
+    read_jsonlines,
 )
 from repro.jsontypes.bag import CountedBag
 from repro.jsontypes.tokenizer import (
@@ -70,7 +76,7 @@ from repro.jsontypes.tokenizer import (
     scan_type,
     scan_typed,
 )
-from repro.jsontypes.types import JsonType, MAX_DEPTH
+from repro.jsontypes.types import JsonType, MAX_DEPTH, type_of
 
 
 def open_line_source(path: PathLike):
@@ -368,36 +374,6 @@ def _flush_typed_counters(records: int, nbytes: int) -> None:
     counters.add("ingest.bytes", nbytes)
 
 
-def absorb_jsonlines_typed(
-    state,
-    path: PathLike,
-    *,
-    on_bad_record: str = "raise",
-    start: int = 0,
-    end: Optional[int] = None,
-) -> IngestReport:
-    """One-pass *enriched* ingestion: types and values into a state.
-
-    The enrichment analogue of :func:`absorb_jsonlines_fused`: each
-    record's interned type feeds the structural fold and its parsed
-    value feeds the state's enrichment sidecar, via
-    ``state.absorb_typed``.  Works on unenriched states too (the value
-    is then simply dropped), so callers can branch on the reader
-    rather than the state.  Returns the filled report.
-    """
-    report = IngestReport(path=str(path), policy=on_bad_record)
-    absorb_typed = state.absorb_typed
-    for tau, value in read_jsonlines_typed(
-        path,
-        on_bad_record=on_bad_record,
-        report=report,
-        start=start,
-        end=end,
-    ):
-        absorb_typed(tau, value)
-    return report
-
-
 def ingest_jsonlines_fused(
     path: PathLike,
     *,
@@ -420,40 +396,70 @@ def ingest_jsonlines_fused(
     return types, report
 
 
-def absorb_jsonlines_fused(
+def absorb_file(
     state,
     path: PathLike,
     *,
-    on_bad_record: str = "raise",
-    shape_cache: Optional[ShapeCache] = None,
+    ingest: str,
+    on_bad_record: str,
     start: int = 0,
     end: Optional[int] = None,
 ) -> IngestReport:
-    """One-pass ingestion: fold a file's types into a
-    :class:`~repro.discovery.state.DiscoveryState`.
+    """Fold a file into a :class:`~repro.discovery.state.DiscoveryState`.
 
-    The file (or its ``start``/``end`` byte range) is folded into a
-    :class:`~repro.jsontypes.bag.CountedBag` and the bag is absorbed
-    once, so the state is updated at per-*distinct*-type cost.  The
-    result is byte-identical to ``state.absorb(value)`` over the
-    classic reader (bag order is first-occurrence order), with the
-    same report.  Returns the filled report.
+    This is the one way a file enters a state: the CLI, resumed and
+    appended runs, ``JxplainPipeline.run_file`` and every shard worker
+    make this call.  ``ingest`` picks the reader (``"fused"`` or
+    ``"classic"``); ``start``/``end`` bound the read to a byte range.
 
-    The file is absorbed whole or not at all: if reading raises
-    (:class:`~repro.errors.DatasetError` under the ``raise`` policy,
-    :class:`~repro.errors.RecursionDepthError` for an over-deep
-    record), the state is left untouched.
+    The records' types are folded into a
+    :class:`~repro.jsontypes.bag.CountedBag`.  When the state is
+    enriched, their values are observed into a fresh sidecar
+    (``state.enrichment.empty_like()``) in the same pass.  Then the bag
+    is absorbed once and the sidecar merged once, so:
+
+    * the state is updated at per-*distinct*-type cost;
+    * the bytes equal per-record absorption over the classic reader
+      (bag order is first-occurrence order, and the sidecar is a
+      monoid), with the same report;
+    * the file is absorbed whole or not at all: if reading raises
+      (:class:`~repro.errors.DatasetError` under the ``raise`` policy,
+      :class:`~repro.errors.RecursionDepthError` for an over-deep
+      record), the state is left untouched.
+
+    Returns the filled report.
     """
+    _check_ingest_mode(ingest)
     report = IngestReport(path=str(path), policy=on_bad_record)
-    bag = CountedBag.from_types(
-        read_jsonlines_fused(
-            path,
-            on_bad_record=on_bad_record,
-            report=report,
-            shape_cache=shape_cache,
-            start=start,
-            end=end,
+    ranged = {
+        "on_bad_record": on_bad_record,
+        "report": report,
+        "start": start,
+        "end": end,
+    }
+    if state.enrichment is None:
+        if ingest == "fused":
+            types = read_jsonlines_fused(path, **ranged)
+        else:
+            types = map(type_of, read_jsonlines(path, **ranged))
+        state.absorb_bag(CountedBag.from_types(types))
+        return report
+    # Sketches need the parsed values, so an enriched read yields
+    # (type, value) pairs and skips the shape cache.
+    if ingest == "fused":
+        pairs = read_jsonlines_typed(path, **ranged)
+    else:
+        pairs = (
+            (type_of(value), value)
+            for value in read_jsonlines(path, **ranged)
         )
-    )
+    bag = CountedBag()
+    add = bag.add
+    sidecar = state.enrichment.empty_like()
+    observe = sidecar.observe
+    for tau, value in pairs:
+        add(tau)
+        observe(value)
     state.absorb_bag(bag)
+    state.enrichment = state.enrichment.merge(sidecar)
     return report

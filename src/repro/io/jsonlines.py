@@ -177,9 +177,14 @@ def _open_binary(path: PathLike) -> IO[bytes]:
     plain sums of line lengths.
     """
     path = FsPath(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+    try:
+        if path.suffix == ".gz":
+            return gzip.open(path, "rb")
+        return open(path, "rb")
+    except OSError as exc:
+        raise DatasetError(
+            f"{path}: cannot read input: {exc.strerror or exc}"
+        ) from exc
 
 
 def _check_policy(on_bad_record: str) -> None:

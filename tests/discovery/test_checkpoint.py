@@ -95,32 +95,24 @@ class TestPipelineCheckpoint:
 
         Baseline: a clean one-shot run over the full corpus.  Then the
         'production' sequence: checkpoint the base run, have the naive
-        full re-run die mid-pipeline (injected crash, no retry policy
-        so it propagates like a real worker loss), and recover by
-        resuming from the checkpoint with only the new file.
+        sharded full re-run lose a shard worker (injected crash, no
+        retry policy so it propagates like a real worker loss), and
+        recover by resuming from the checkpoint with only the new file.
         """
         base, extra, full = corpus
         ckpt = tmp_path / "state.ckpt"
         baseline = schema_bytes(JxplainPipeline().run_file(full).schema)
         JxplainPipeline().run_file(base, checkpoint=ckpt)
-        install_fault_plan("pass3-synthesis:0:raise")
+        install_fault_plan("shard-discover:0:raise")
         try:
             with pytest.raises(InjectedFault):
-                JxplainPipeline().run_file(full)
+                JxplainPipeline(shards=2).run_file(full)
         finally:
             clear_fault_plan()
         recovered = JxplainPipeline().run_file(
             checkpoint=ckpt, resume=True, append=[extra]
         )
         assert schema_bytes(recovered.schema) == baseline
-
-    def test_merge_counter_ticks_during_state_build(self, corpus, tmp_path):
-        base, _, _ = corpus
-        before = counters.get("state.merges")
-        JxplainPipeline(num_partitions=4).run_file(
-            base, checkpoint=tmp_path / "state.ckpt"
-        )
-        assert counters.get("state.merges") > before
 
 
 class TestCliCheckpoint:

@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.discovery import JxplainPipeline, KReduce, LReduce, make_discoverer
 from repro.discovery.state import load_state, save_state, state_for_algorithm
 from repro.engine import ProcessExecutor, SerialExecutor, ThreadExecutor
-from repro.io.fastpath import absorb_jsonlines_fused, ingest_jsonlines_fused
+from repro.io.fastpath import absorb_file, ingest_jsonlines_fused
 from repro.io.jsonlines import ingest_jsonlines
 from repro.schema import schema_entropy, to_json_schema
 
@@ -273,12 +273,12 @@ def test_fused_checkpoint_resume_matches_one_shot(
     )
 
     interleaved = state_for_algorithm(algorithm, None)
-    absorb_jsonlines_fused(
-        interleaved, base / "first.jsonl", on_bad_record="skip"
+    absorb_file(
+        interleaved, base / "first.jsonl", ingest="fused", on_bad_record="skip"
     )
     save_state(interleaved, base / "ckpt.bin")
     resumed = load_state(base / "ckpt.bin")
-    absorb_jsonlines_fused(
-        resumed, base / "second.jsonl", on_bad_record="skip"
+    absorb_file(
+        resumed, base / "second.jsonl", ingest="fused", on_bad_record="skip"
     )
     assert resumed.to_bytes() == oneshot.to_bytes()

@@ -15,6 +15,14 @@ class TestSampledPipeline:
         with pytest.raises(ValueError):
             JxplainPipeline(heuristic_sample=1.5)
 
+    def test_run_file_refuses_sampling(self, tmp_path):
+        """``run_file`` synthesizes from the full statistics, so it
+        refuses a sampling fraction it could not honour."""
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"a": 1}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="heuristic_sample"):
+            JxplainPipeline(heuristic_sample=0.5).run_file(path)
+
     def test_full_fraction_equals_unsampled(self, login_serve_stream):
         full = JxplainPipeline().discover(login_serve_stream)
         sampled = JxplainPipeline(heuristic_sample=1.0).discover(

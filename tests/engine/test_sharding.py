@@ -301,24 +301,3 @@ class TestCounterFlush:
             - before.get("sharding.shards_completed", 0)
             == 4
         )
-
-
-class TestShardedDataset:
-    def test_from_jsonlines_sharded_matches_records(self, corpus, records):
-        from repro.engine import LocalDataset
-
-        dataset = LocalDataset.from_jsonlines_sharded(corpus, shards=3)
-        assert dataset.num_partitions == 3
-        assert dataset.collect() == records
-        assert dataset.ingest_report.record_count == len(records)
-
-    def test_from_jsonlines_sharded_fused(self, corpus):
-        from repro.engine import LocalDataset
-        from repro.jsontypes.types import JsonType
-
-        dataset = LocalDataset.from_jsonlines_sharded(
-            corpus, shards=3, ingest="fused"
-        )
-        collected = dataset.collect()
-        assert len(collected) == 400
-        assert all(isinstance(tau, JsonType) for tau in collected)

@@ -17,7 +17,7 @@ import pytest
 from repro.engine.dataset import LocalDataset
 from repro.errors import DatasetError, RecursionDepthError
 from repro.io.fastpath import (
-    absorb_jsonlines_fused,
+    absorb_file,
     ingest_jsonlines_fused,
     read_jsonlines_fused,
 )
@@ -119,7 +119,9 @@ def test_absorb_fused_streams_into_state(tmp_path):
 
     path = _write(tmp_path / "s.jsonl", ['{"a": 1}', '{"a": 1, "b": "x"}'])
     fused_state = state_for_algorithm("l-reduce", None)
-    report = absorb_jsonlines_fused(fused_state, path)
+    report = absorb_file(
+        fused_state, path, ingest="fused", on_bad_record="raise"
+    )
     assert isinstance(report, IngestReport)
     assert report.record_count == 2
     classic_state = state_for_algorithm("l-reduce", None)
@@ -127,28 +129,36 @@ def test_absorb_fused_streams_into_state(tmp_path):
     assert fused_state.to_bytes() == classic_state.to_bytes()
 
 
+@pytest.mark.parametrize(
+    "enrich", [None, "sketches,unions"], ids=["plain", "enriched"]
+)
+@pytest.mark.parametrize("ingest", ["fused", "classic"])
 @pytest.mark.parametrize("algorithm", ["bimax-merge", "k-reduce", "l-reduce"])
-def test_absorb_fused_is_all_or_nothing_per_file(tmp_path, algorithm):
-    # The file is bag-folded and the bag absorbed once, so a read that
-    # fails part-way leaves the state exactly as it was before the call.
+def test_absorb_file_is_all_or_nothing_per_file(
+    tmp_path, algorithm, ingest, enrich
+):
+    # Every reader x enrichment combination folds the file into a bag
+    # (and a fresh sidecar) and absorbs once, so a read that fails
+    # part-way leaves the state exactly as it was before the call.
     from repro.discovery.state import state_for_algorithm
 
-    state = state_for_algorithm(algorithm, None)
-    absorb_jsonlines_fused(
-        state, _write(tmp_path / "ok.jsonl", ['{"a": 1}', '{"b": [1]}'])
-    )
+    def absorb(path):
+        absorb_file(state, path, ingest=ingest, on_bad_record="raise")
+
+    state = state_for_algorithm(algorithm, None, enrich=enrich)
+    absorb(_write(tmp_path / "ok.jsonl", ['{"a": 1}', '{"b": [1]}']))
     before = state.to_bytes()
     garbage = _write(
         tmp_path / "garbage.jsonl", ['{"a": 1}', '{"c": true}', "garbage"]
     )
     with pytest.raises(DatasetError):
-        absorb_jsonlines_fused(state, garbage)
+        absorb(garbage)
     assert state.to_bytes() == before
     deep = _write(
         tmp_path / "deep.jsonl", ['{"d": 1}', "[" * 300 + "]" * 300]
     )
     with pytest.raises(RecursionDepthError):
-        absorb_jsonlines_fused(state, deep)
+        absorb(deep)
     assert state.to_bytes() == before
 
 
@@ -163,11 +173,25 @@ def test_absorb_fused_byte_range_matches_classic_range(tmp_path):
         offsets.append(offsets[-1] + len(line) + 1)
     start, end = offsets[1], offsets[10]
     fused = state_for_algorithm("bimax-merge", None)
-    report = absorb_jsonlines_fused(fused, path, start=start, end=end)
+    report = absorb_file(
+        fused, path, ingest="fused", on_bad_record="raise",
+        start=start, end=end,
+    )
     classic = state_for_algorithm("bimax-merge", None)
     classic.absorb_many(read_jsonlines(path, start=start, end=end))
     assert report.record_count == 9
     assert fused.to_bytes() == classic.to_bytes()
+
+
+def test_absorb_file_rejects_unknown_ingest_mode(tmp_path):
+    from repro.discovery.state import state_for_algorithm
+
+    path = _write(tmp_path / "modes.jsonl", ['{"a": 1}'])
+    with pytest.raises(DatasetError, match="unknown ingest mode"):
+        absorb_file(
+            state_for_algorithm("l-reduce"), path,
+            ingest="warp", on_bad_record="raise",
+        )
 
 
 def test_load_jsonlines_ingest_modes(tmp_path):
@@ -178,25 +202,14 @@ def test_load_jsonlines_ingest_modes(tmp_path):
         load_jsonlines(path, ingest="warp")
 
 
-def test_dataset_from_jsonlines_fused(tmp_path):
-    path = _write(tmp_path / "ds.jsonl", ['{"a": 1}', '{"b": [1]}'] * 4)
-    dataset = LocalDataset.from_jsonlines(path, ingest="fused")
-    assert dataset.ingest_report.record_count == 8
-    assert sorted(map(repr, set(dataset.collect()))) == sorted(
-        map(repr, {type_of({"a": 1}), type_of({"b": [1]})})
-    )
-    with pytest.raises(DatasetError, match="unknown ingest mode"):
-        LocalDataset.from_jsonlines(path, ingest="warp")
-
-
-def test_adaptive_partitioning_is_opt_in(tmp_path):
+def test_adaptive_partitioning_is_opt_in():
     from repro.engine.dataset import adaptive_partitions
 
-    path = _write(tmp_path / "tiny.jsonl", ['{"a": 1}'] * 6)
+    records = [{"a": 1}] * 6
     # Explicit default: unchanged layout.
-    assert LocalDataset.from_jsonlines(path).num_partitions == 4
+    assert LocalDataset.from_records(records).num_partitions == 4
     # Adaptive: six records collapse to one partition.
-    assert LocalDataset.from_jsonlines(path, None).num_partitions == 1
+    assert LocalDataset.from_records(records, None).num_partitions == 1
     assert adaptive_partitions(0, 8) == 1
     assert adaptive_partitions(100, 8) == 1
     assert adaptive_partitions(4096, 8) == 4

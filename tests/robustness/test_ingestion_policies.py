@@ -14,11 +14,11 @@ import os
 
 import pytest
 
-from repro.engine import LocalDataset
 from repro.errors import DatasetError
 from repro.io import (
     BAD_PAYLOAD_LIMIT,
     IngestReport,
+    absorb_file,
     ingest_jsonlines,
     load_jsonlines,
     read_jsonlines,
@@ -148,23 +148,18 @@ def test_gzip_round_trip_with_bad_lines(tmp_path):
     assert report.bad_records[0].byte_offset == 9
 
 
-def test_dataset_from_jsonlines_attaches_report():
-    dataset = LocalDataset.from_jsonlines(
-        fixture("truncated.jsonl"), 2, on_bad_record="skip"
+def test_absorb_file_returns_the_report():
+    from repro.discovery.state import state_for_algorithm
+
+    state = state_for_algorithm("l-reduce")
+    report = absorb_file(
+        state,
+        fixture("truncated.jsonl"),
+        ingest="classic",
+        on_bad_record="skip",
     )
-    assert dataset.collect() == [
-        {"id": 1, "kind": "event"},
-        {"id": 2, "kind": "event", "tags": ["a", "b"]},
-    ]
-    assert dataset.ingest_report is not None
-    assert dataset.ingest_report.bad_line_numbers() == [3]
-    # Derived datasets describe transformations, not the source file.
-    assert dataset.map(lambda r: r).ingest_report is None
-
-
-def test_dataset_from_jsonlines_default_raises():
-    with pytest.raises(DatasetError):
-        LocalDataset.from_jsonlines(fixture("truncated.jsonl"))
+    assert state.record_count == 2
+    assert report.bad_line_numbers() == [3]
 
 
 def test_report_summary_names_positions():

@@ -50,6 +50,78 @@ class TestDiscover:
         assert main(["discover", str(path)]) == 2
 
 
+#: Every ``discover`` route, by the flags that select it.
+ROUTES = {
+    "plain": (),
+    "checkpoint": ("--checkpoint", "{tmp}/state.ckpt"),
+    "enrich": ("--enrich", "sketches"),
+    "classic": ("--ingest", "classic"),
+    "shards": ("--shards", "2"),
+}
+
+
+def _route_flags(route, tmp_path):
+    return [flag.format(tmp=tmp_path) for flag in ROUTES[route]]
+
+
+def _nested(depth):
+    """A record whose type nests ``depth`` levels (a leaf is level 1)."""
+    value = 1
+    for _ in range(depth - 1):
+        value = {"a": value}
+    return value
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+class TestDiscoverFailures:
+    """Input failures give one documented result on every route: an
+    ``error: …`` line on stderr and exit code 2, never a traceback."""
+
+    def test_malformed_line(self, tmp_path, capsys, route):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"a": 1}\n{"a": \n{"a": 2}\n', encoding="utf-8")
+        code = main(
+            ["discover", str(path), *_route_flags(route, tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}:")
+        assert "invalid JSON" in err
+
+    def test_missing_input(self, tmp_path, capsys, route):
+        path = tmp_path / "missing.jsonl"
+        code = main(
+            ["discover", str(path), *_route_flags(route, tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: cannot read input"
+        )
+
+    def test_over_deep_record(self, tmp_path, capsys, route):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 300 + "]" * 300 + "\n", encoding="utf-8")
+        code = main(
+            ["discover", str(path), *_route_flags(route, tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_max_depth_boundary(self, tmp_path, capsys, route):
+        """``JxplainConfig.max_depth`` (128) admits a record of type
+        depth 129 and refuses depth 130, whichever route runs."""
+        for depth, expected in ((129, 0), (130, 2)):
+            path = tmp_path / f"depth{depth}.jsonl"
+            write_jsonlines(path, [_nested(depth), {"b": 1}])
+            code = main(
+                ["discover", str(path), *_route_flags(route, tmp_path)]
+            )
+            err = capsys.readouterr().err
+            assert code == expected, err
+            if expected:
+                assert err.startswith("error: merge exceeded max_depth=128")
+
+
 class TestValidate:
     def test_accepts_training_data(self, figure1_file, tmp_path, capsys):
         schema_path = tmp_path / "schema.json"

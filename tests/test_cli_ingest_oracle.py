@@ -1,4 +1,5 @@
-"""The classic reader as the CLI's differential oracle.
+"""The classic reader and the plain route as the CLI's differential
+oracles.
 
 ``discover`` reads with the fused reader by default, and ``--ingest``
 selects only the reader: both readers yield the same interned types in
@@ -7,6 +8,11 @@ byte-identical to ``--ingest classic`` for every algorithm, on corpora
 with few distinct shapes (github), nested collections (pharma) and many
 distinct types (yelp-merged), and under every bad-record policy,
 warning line included.
+
+The stateful routes (``--checkpoint``, ``--shards``) absorb every file
+into a discovery state and synthesize from it; their output must equal
+the plain route's too.  One pair is a known divergence, pinned as a
+strict xfail: see :data:`BIMAX_NAIVE_DIVERGENCE`.
 """
 
 from __future__ import annotations
@@ -43,6 +49,45 @@ def _discover(path, tmp_path, capsys, *flags):
     )
     assert code == 0
     return output.read_bytes(), capsys.readouterr().err
+
+
+#: Why ``bimax-naive`` on yelp-merged differs between routes.
+BIMAX_NAIVE_DIVERGENCE = (
+    "the plain route runs Algorithm 4 (JxplainMerger) while the stateful "
+    "routes run the pass 2/3 partitioners of "
+    "JxplainState.synthesize_result; both are order-invariant, so they "
+    "differ in what they compute for bimax-naive on many distinct types"
+)
+
+
+def _route_cases():
+    for corpus in CORPORA:
+        for algorithm in ALGORITHMS:
+            marks = ()
+            if (corpus, algorithm) == ("yelp-merged", "bimax-naive"):
+                marks = pytest.mark.xfail(
+                    strict=True, reason=BIMAX_NAIVE_DIVERGENCE
+                )
+            yield pytest.param(
+                corpus, algorithm, marks=marks, id=f"{corpus}-{algorithm}"
+            )
+
+
+@pytest.mark.parametrize("route", ["checkpoint", "shards"])
+@pytest.mark.parametrize("corpus,algorithm", list(_route_cases()))
+def test_stateful_routes_equal_default(
+    corpora, tmp_path, capsys, corpus, algorithm, route
+):
+    flags = {
+        "checkpoint": ("--checkpoint", str(tmp_path / "state.ckpt")),
+        "shards": ("--shards", "2"),
+    }[route]
+    default = _discover(
+        corpora[corpus], tmp_path, capsys, "--algorithm", algorithm
+    )
+    assert default == _discover(
+        corpora[corpus], tmp_path, capsys, "--algorithm", algorithm, *flags
+    )
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
