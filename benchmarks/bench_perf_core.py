@@ -118,8 +118,9 @@ def _bench_dataset(name, size):
         schemas_j[mode_name] = Jxplain().discover(records)
         jxplain_s = time.perf_counter() - start
 
-        # The staged three-pass pipeline: dominated by the stat-tree
-        # passes, and the form that fans out over the executor.
+        # The staged three-pass pipeline: the parse and the bag fold
+        # fan out over the executor, then passes ①–③ run once over
+        # the folded state.
         start = time.perf_counter()
         schemas_p[mode_name] = JxplainPipeline(
             executor=executor

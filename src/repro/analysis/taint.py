@@ -131,7 +131,6 @@ FANOUT_METHODS = frozenset(
         "map_shards",
         "aggregate",
         "tree_aggregate",
-        "tree_aggregate_serialized",
         "with_retry",
     }
 )

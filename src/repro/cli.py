@@ -148,11 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --shards: fan-in of the partial-state merge tree "
         "(default 2; any value yields identical bytes)",
     )
-    discover.add_argument(
-        "--num-partitions", default=None, metavar="N|auto",
-        help="dataset partition count for pipeline algorithms "
-        "(auto = adaptive from record count and worker count)",
-    )
 
     validate = sub.add_parser(
         "validate", help="validate records against a stored JSON Schema"
@@ -385,10 +380,8 @@ def _extract_tagged_union(state):
     return decisions[0] if decisions else None
 
 
-def _parse_count_or_auto(value: str, option: str):
-    """``"auto"`` → None (adaptive), else a positive int; errors exit 2."""
-    if value == "auto":
-        return None
+def _parse_count(value: str, option: str) -> int:
+    """A positive int; anything else exits 2."""
     try:
         count = int(value)
     except ValueError:
@@ -451,17 +444,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             )
             return 2
         discoverer.config = discoverer.config.with_(**overrides)
-    if args.num_partitions is not None:
-        if not hasattr(discoverer, "num_partitions"):
-            print(
-                f"error: --num-partitions does not apply to "
-                f"{args.algorithm}",
-                file=sys.stderr,
-            )
-            return 2
-        discoverer.num_partitions = _parse_count_or_auto(
-            args.num_partitions, "--num-partitions"
-        )
     schema = discoverer.merge_types(types)
     _emit_schema(schema, args)
     return 0
@@ -484,7 +466,7 @@ def _cmd_discover_stateful(
 
     shards = args.shards
     if shards is not None and shards != "auto":
-        shards = _parse_count_or_auto(shards, "--shards")
+        shards = _parse_count(shards, "--shards")
     if args.resume:
         if not args.checkpoint:
             print("error: --resume requires --checkpoint", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 Every constituent of a :class:`~repro.discovery.state.DiscoveryState`
 — counted bags, :class:`~repro.jsontypes.types.JsonType`\\ s, schemas,
-stat trees, tuple shapes, fold nodes, collection decisions, entity
-clusters and key-set universes — has a codec here, so partial states
-can cross the executor boundary (and checkpoint files) in a compact
-wire form instead of as pickled live objects.
+stat trees, configurations and the enrichment sidecar — has a codec
+here, so partial states can cross the executor boundary (and
+checkpoint files) in a compact wire form instead of as pickled live
+objects.
 
 Design:
 
@@ -23,10 +23,10 @@ Design:
 * Encoding is **deterministic**: unordered containers (sets, hash
   dicts) are written in a canonical sort order, while containers whose
   iteration order is semantic (a counted bag's first-occurrence order,
-  a union's branch order, a cluster's member order) are written in
-  that order.  Equal states therefore produce equal bytes, which is
-  what lets state equality be byte equality and lets the chaos tests
-  assert byte-identical schemas across resume boundaries.
+  a union's branch order) are written in that order.  Equal states
+  therefore produce equal bytes, which is what lets state equality be
+  byte equality and lets the chaos tests assert byte-identical schemas
+  across resume boundaries.
 
 Integers use LEB128 (``uvarint``; zig-zag ``svarint`` where signs can
 occur), floats use little-endian IEEE-754 doubles, and strings are
@@ -39,13 +39,6 @@ import struct
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.discovery.config import EntityStrategy, FeatureMode, JxplainConfig
-from repro.discovery.fold import (
-    ArrayCollAcc,
-    ArrayEntityAcc,
-    FoldNode,
-    ObjectCollAcc,
-    ObjectEntityAcc,
-)
 from repro.discovery.sketches import (
     BloomMembershipSketch,
     EnrichmentOptions,
@@ -59,11 +52,9 @@ from repro.discovery.sketches import (
     scalar_from_key,
     scalar_key,
 )
-from repro.discovery.stat_tree import CollectionDecisions, StatTree
-from repro.entities.bimax import EntityCluster
-from repro.entities.keyset import KeySetUniverse
+from repro.discovery.stat_tree import StatTree
 from repro.errors import StateCodecError
-from repro.heuristics.collection import CollectionEvidence, Designation
+from repro.heuristics.collection import CollectionEvidence
 from repro.jsontypes.bag import CountedBag, ListBag, TypeBag
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import Path, STAR
@@ -106,10 +97,6 @@ _KIND_ORDER: Tuple[Kind, ...] = (
     Kind.ARRAY,
 )
 _KIND_TAG: Dict[Kind, int] = {kind: tag for tag, kind in enumerate(_KIND_ORDER)}
-
-_DESIGNATION_ORDER = (Designation.TUPLE, Designation.COLLECTION)
-_DESIGNATION_TAG = {d: tag for tag, d in enumerate(_DESIGNATION_ORDER)}
-
 
 # -- primitive writer / reader ------------------------------------------------
 
@@ -452,35 +439,6 @@ def read_path(dec: Decoder) -> Path:
     return tuple(steps)
 
 
-def _write_feature(enc: Encoder, feature) -> None:
-    """One key-set member: a plain key (str) or a path (tuple)."""
-    if isinstance(feature, str):
-        enc.w.uvarint(0)
-        enc.w.string(feature)
-    elif isinstance(feature, tuple):
-        enc.w.uvarint(1)
-        write_path(enc, feature)
-    else:
-        raise StateCodecError(f"unknown feature element {feature!r}")
-
-
-def _read_feature(dec: Decoder):
-    tag = dec.r.uvarint()
-    if tag == 0:
-        return dec.r.string()
-    if tag == 1:
-        return read_path(dec)
-    raise StateCodecError(f"unknown feature tag {tag}")
-
-
-def _write_key_set(enc: Encoder, key_set) -> None:
-    enc.sorted_blobs(key_set, _write_feature)
-
-
-def _read_key_set(dec: Decoder) -> frozenset:
-    return frozenset(_read_feature(dec) for _ in range(dec.r.uvarint()))
-
-
 # -- schemas ------------------------------------------------------------------
 #
 # Tags: 0 NEVER, 1 primitive, 2 ObjectTuple, 3 ArrayTuple,
@@ -689,199 +647,6 @@ def read_stat_tree(dec: Decoder) -> StatTree:
             raise StateCodecError(f"unknown stat-tree step tag {tag}")
         tree.children[step] = read_stat_tree(dec)
     return tree
-
-
-# -- tuple shapes (pass ②'s accumulator) --------------------------------------
-
-
-def write_tuple_shapes(enc: Encoder, shapes) -> None:
-    def write_object_entry(e: Encoder, entry) -> None:
-        path, feature_sets = entry
-        write_path(e, path)
-        e.sorted_blobs(feature_sets, _write_key_set)
-
-    def write_array_entry(e: Encoder, entry) -> None:
-        path, lengths = entry
-        write_path(e, path)
-        e.w.uvarint(len(lengths))
-        for length in sorted(lengths):
-            e.w.uvarint(length)
-
-    enc.sorted_blobs(shapes.object_features.items(), write_object_entry)
-    enc.sorted_blobs(shapes.array_lengths.items(), write_array_entry)
-
-
-def read_tuple_shapes(dec: Decoder):
-    from repro.discovery.pipeline import TupleShapes
-
-    shapes = TupleShapes()
-    for _ in range(dec.r.uvarint()):
-        path = read_path(dec)
-        shapes.object_features[path] = {
-            _read_key_set(dec) for _ in range(dec.r.uvarint())
-        }
-    for _ in range(dec.r.uvarint()):
-        path = read_path(dec)
-        shapes.array_lengths[path] = {
-            dec.r.uvarint() for _ in range(dec.r.uvarint())
-        }
-    return shapes
-
-
-# -- fold nodes (pass ③'s accumulator) ----------------------------------------
-
-
-def write_fold_node(enc: Encoder, node: FoldNode) -> None:
-    kinds = sorted(node.primitive_kinds, key=_KIND_TAG.__getitem__)
-    enc.w.uvarint(len(kinds))
-    for kind in kinds:
-        _write_kind(enc, kind)
-    enc.w.uvarint(len(node.object_entities))
-    for entity in sorted(node.object_entities):
-        acc = node.object_entities[entity]
-        enc.w.uvarint(entity)
-        enc.w.uvarint(len(acc.required))
-        for key in sorted(acc.required):
-            enc.w.string(key)
-        enc.w.uvarint(len(acc.fields))
-        for key in sorted(acc.fields):
-            enc.w.string(key)
-            write_fold_node(enc, acc.fields[key])
-    enc.w.boolean(node.object_collection is not None)
-    if node.object_collection is not None:
-        coll = node.object_collection
-        _write_opt(enc, coll.value, write_fold_node)
-        enc.w.uvarint(len(coll.domain))
-        for key in sorted(coll.domain):
-            enc.w.string(key)
-    enc.w.uvarint(len(node.array_entities))
-    for entity in sorted(node.array_entities):
-        acc = node.array_entities[entity]
-        enc.w.uvarint(entity)
-        enc.w.uvarint(acc.min_length)
-        enc.w.uvarint(len(acc.positions))
-        for child in acc.positions:
-            write_fold_node(enc, child)
-    enc.w.boolean(node.array_collection is not None)
-    if node.array_collection is not None:
-        coll = node.array_collection
-        _write_opt(enc, coll.element, write_fold_node)
-        enc.w.uvarint(coll.max_length)
-
-
-def read_fold_node(dec: Decoder) -> FoldNode:
-    node = FoldNode()
-    for _ in range(dec.r.uvarint()):
-        node.primitive_kinds.add(_read_kind(dec))
-    for _ in range(dec.r.uvarint()):
-        entity = dec.r.uvarint()
-        required = {dec.r.string() for _ in range(dec.r.uvarint())}
-        acc = ObjectEntityAcc(required=required)
-        for _ in range(dec.r.uvarint()):
-            key = dec.r.string()
-            acc.fields[key] = read_fold_node(dec)
-        node.object_entities[entity] = acc
-    if dec.r.boolean():
-        coll = ObjectCollAcc(value=_read_opt(dec, read_fold_node))
-        coll.domain = {dec.r.string() for _ in range(dec.r.uvarint())}
-        node.object_collection = coll
-    for _ in range(dec.r.uvarint()):
-        entity = dec.r.uvarint()
-        acc = ArrayEntityAcc(min_length=dec.r.uvarint())
-        acc.positions = [
-            read_fold_node(dec) for _ in range(dec.r.uvarint())
-        ]
-        node.array_entities[entity] = acc
-    if dec.r.boolean():
-        coll = ArrayCollAcc(element=_read_opt(dec, read_fold_node))
-        coll.max_length = dec.r.uvarint()
-        node.array_collection = coll
-    return node
-
-
-# -- collection decisions -----------------------------------------------------
-
-
-def write_decisions(enc: Encoder, decisions: CollectionDecisions) -> None:
-    def write_entry(e: Encoder, entry) -> None:
-        (path, kind), designation = entry
-        write_path(e, path)
-        _write_kind(e, kind)
-        e.w.uvarint(_DESIGNATION_TAG[designation])
-
-    enc.sorted_blobs(decisions.items(), write_entry)
-
-
-def read_decisions(dec: Decoder) -> CollectionDecisions:
-    decisions: CollectionDecisions = {}
-    for _ in range(dec.r.uvarint()):
-        path = read_path(dec)
-        kind = _read_kind(dec)
-        tag = dec.r.uvarint()
-        if tag >= len(_DESIGNATION_ORDER):
-            raise StateCodecError(f"unknown designation tag {tag}")
-        decisions[(path, kind)] = _DESIGNATION_ORDER[tag]
-    return decisions
-
-
-# -- entity clusters / universes / partitioners -------------------------------
-
-
-def write_universe(enc: Encoder, universe: KeySetUniverse) -> None:
-    # Keys are already repr-sorted canonically by construction.
-    enc.w.uvarint(len(universe.keys))
-    for key in universe.keys:
-        _write_feature(enc, key)
-
-
-def read_universe(dec: Decoder) -> KeySetUniverse:
-    return KeySetUniverse(
-        _read_feature(dec) for _ in range(dec.r.uvarint())
-    )
-
-
-def write_cluster(enc: Encoder, cluster: EntityCluster) -> None:
-    _write_key_set(enc, cluster.maximal)
-    # Member order is semantic: the partitioner's member index keeps
-    # the first cluster claiming each member.
-    enc.w.uvarint(len(cluster.members))
-    for member in cluster.members:
-        _write_key_set(enc, member)
-    enc.w.boolean(cluster.synthesized)
-    enc.w.boolean(cluster.member_counts is not None)
-    if cluster.member_counts is not None:
-        enc.w.uvarint(len(cluster.member_counts))
-        for count in cluster.member_counts:
-            enc.w.uvarint(count)
-
-
-def read_cluster(dec: Decoder) -> EntityCluster:
-    maximal = _read_key_set(dec)
-    members = [_read_key_set(dec) for _ in range(dec.r.uvarint())]
-    synthesized = dec.r.boolean()
-    member_counts = None
-    if dec.r.boolean():
-        member_counts = [dec.r.uvarint() for _ in range(dec.r.uvarint())]
-    return EntityCluster(
-        maximal=maximal,
-        members=members,
-        synthesized=synthesized,
-        member_counts=member_counts,
-    )
-
-
-def write_partitioner(enc: Encoder, partitioner) -> None:
-    clusters = partitioner.clusters
-    enc.w.uvarint(len(clusters))
-    for cluster in clusters:
-        write_cluster(enc, cluster)
-
-
-def read_partitioner(dec: Decoder):
-    from repro.entities.partitioner import EntityPartitioner
-
-    clusters = [read_cluster(dec) for _ in range(dec.r.uvarint())]
-    return EntityPartitioner(clusters)
 
 
 # -- configuration ------------------------------------------------------------
@@ -1197,7 +962,7 @@ def read_tagged_unions(dec: Decoder):
 # -- standalone payloads ------------------------------------------------------
 #
 # Module-level function pairs, so executor tasks can carry them by
-# reference through pickle (`partial(..., dumps=dumps_stat_tree)`).
+# reference through pickle.
 
 
 def dumps_schema(schema: Schema) -> bytes:
@@ -1206,30 +971,6 @@ def dumps_schema(schema: Schema) -> bytes:
 
 def loads_schema(data: bytes) -> Schema:
     return _loads("schema", read_schema, data)
-
-
-def dumps_stat_tree(tree: StatTree) -> bytes:
-    return _dumps("stat-tree", write_stat_tree, tree)
-
-
-def loads_stat_tree(data: bytes) -> StatTree:
-    return _loads("stat-tree", read_stat_tree, data)
-
-
-def dumps_tuple_shapes(shapes) -> bytes:
-    return _dumps("tuple-shapes", write_tuple_shapes, shapes)
-
-
-def loads_tuple_shapes(data: bytes):
-    return _loads("tuple-shapes", read_tuple_shapes, data)
-
-
-def dumps_fold_node(node: FoldNode) -> bytes:
-    return _dumps("fold-node", write_fold_node, node)
-
-
-def loads_fold_node(data: bytes) -> FoldNode:
-    return _loads("fold-node", read_fold_node, data)
 
 
 def dumps_sketch(sketch) -> bytes:

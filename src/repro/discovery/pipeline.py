@@ -1,54 +1,41 @@
 """The staged three-pass JXPLAIN pipeline (Section 4.2, Figure 3).
 
-Pass ① folds a :class:`~repro.discovery.stat_tree.StatTree` over the
-partitioned data and derives collection/tuple designations per path.
-Pass ② collects the distinct key-sets (objects) and lengths (arrays)
-at every tuple-designated path and compiles them — via the configured
-Bimax strategy — into deterministic :class:`EntityPartitioner`\\ s.
-Pass ③ synthesizes the schema; with the heuristic answers fixed it is
-an associative fold (:mod:`repro.discovery.fold`) run through the
-engine's ``tree_aggregate``.
+Pass ① derives collection/tuple designations per path from a
+:class:`~repro.discovery.stat_tree.StatTree`.  Pass ② collects the
+distinct key-sets (objects) and lengths (arrays) at every
+tuple-designated path and compiles them — via the configured Bimax
+strategy — into deterministic :class:`EntityPartitioner`\\ s.  Pass ③
+synthesizes the schema; with the heuristic answers fixed it is an
+associative fold (:mod:`repro.discovery.fold`).
 
-Every pass is timed (:class:`~repro.engine.StageTimer`) and counted
-(the dataset's scan counter), which is what the Table 5 runtime bench
-measures.
-
-That is :meth:`JxplainPipeline.run`, the Figure 3 reproduction over a
-:class:`~repro.engine.dataset.LocalDataset`.  Files take the other
-route: :meth:`JxplainPipeline.run_file` absorbs them into a
-:class:`~repro.discovery.state.JxplainState` and runs the same passes
-over its statistics (``JxplainState.synthesize_result``).
+Figure 3 runs the passes as three scans because Spark cannot hold the
+data, but the counted bag of record types is a sufficient statistic
+for all three.  So both routes fold their input into a
+:class:`~repro.discovery.state.JxplainState` and run its staged
+synthesis (``JxplainState.synthesize_result``) once:
+:meth:`JxplainPipeline.run` folds the partitions of a
+:class:`~repro.engine.dataset.LocalDataset` into one bag, and
+:meth:`JxplainPipeline.run_file` absorbs files.  Every stage is timed
+(:class:`~repro.engine.StageTimer`) and counted (the dataset's scan
+counter), which is what the Table 5 runtime bench measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union as TUnion
 
 from repro.discovery.base import Discoverer, register_discoverer
-from repro.discovery.codec import (
-    dumps_fold_node,
-    dumps_stat_tree,
-    dumps_tuple_shapes,
-    loads_fold_node,
-    loads_stat_tree,
-    loads_tuple_shapes,
-)
 from repro.discovery.config import FeatureMode, JxplainConfig, RobustnessConfig
-from repro.discovery.fold import DecidedFolder, FoldNode
 from repro.discovery.jxplain import JxplainMerger, cluster_key_sets
-from repro.discovery.stat_tree import (
-    CollectionDecisions,
-    StatTree,
-    decide_collections,
-)
+from repro.discovery.stat_tree import CollectionDecisions
 from repro.engine.dataset import LocalDataset
 from repro.engine.executor import resolve_executor
 from repro.engine.instrument import StageTimer, counters
 from repro.entities.partitioner import EntityPartitioner
 from repro.errors import EmptyInputError
 from repro.heuristics.collection import CollectionEvidence, Designation
+from repro.jsontypes.bag import CountedBag
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import Path, ROOT, STAR
 from repro.jsontypes.types import (
@@ -114,10 +101,7 @@ def _deterministic_feature_order(feature_sets: Set[frozenset]) -> List[frozenset
 
 @dataclass
 class TupleShapes:
-    """Pass ②'s accumulator: observed shapes at tuple-designated paths.
-
-    Merges associatively (set unions), so it folds over partitions.
-    """
+    """Pass ②'s accumulator: observed shapes at tuple-designated paths."""
 
     object_features: Dict[Path, Set[frozenset]] = field(default_factory=dict)
     array_lengths: Dict[Path, Set[int]] = field(default_factory=dict)
@@ -157,17 +141,6 @@ class TupleShapes:
             else:
                 for value in tau.elements:
                     self._walk(value, path + (STAR,), decisions, extractor)
-
-    def merge(self, other: "TupleShapes") -> "TupleShapes":
-        merged = TupleShapes()
-        for source in (self, other):
-            for path, feature_sets in source.object_features.items():
-                merged.object_features.setdefault(path, set()).update(
-                    feature_sets
-                )
-            for path, lengths in source.array_lengths.items():
-                merged.array_lengths.setdefault(path, set()).update(lengths)
-        return merged
 
 
 def _compile_partitioner(task):
@@ -336,10 +309,10 @@ class JxplainPipeline(Discoverer):
         passed to :meth:`run` keeps its own.
 
         ``robustness`` installs the DESIGN.md §8 failure model: its
-        retry policy supervises every per-partition task of every pass
-        of :meth:`run` (on whichever backend the dataset carries), and
-        its ``on_bad_record`` policy governs :meth:`run_file`
-        ingestion.
+        retry policy supervises every task :meth:`run` fans out — the
+        per-partition parse and bag fold, and pass ②'s per-path
+        clustering — on whichever backend the dataset carries, and its
+        ``on_bad_record`` policy governs :meth:`run_file` ingestion.
 
         The rest configure :meth:`run_file`.  ``ingest`` picks the
         reader: ``"classic"`` parses values, ``"fused"`` streams
@@ -381,12 +354,22 @@ class JxplainPipeline(Discoverer):
             robustness.validate()
         self.robustness = robustness
 
-    # -- the three passes ------------------------------------------------------
+    # -- the staged synthesis over a dataset ---------------------------------
 
     def run(
         self, data: TUnion[LocalDataset, Iterable[JsonValue]]
     ) -> PipelineResult:
-        """Run all three passes and return schema + diagnostics."""
+        """Fold the records into a state and run passes ①–③ over it.
+
+        The partitions are folded into one counted bag of record types
+        (the sufficient statistic of all three passes), the bag is
+        absorbed into a :class:`~repro.discovery.state.JxplainState`
+        once, and the state's staged synthesis produces the schema and
+        diagnostics — the same route files take through
+        :meth:`run_file`.
+        """
+        from repro.discovery.state import JxplainState
+
         timer = StageTimer()
         if isinstance(data, LocalDataset):
             dataset = data
@@ -405,73 +388,44 @@ class JxplainPipeline(Discoverer):
             # design: writes are idempotent canonical values and the
             # stats counters tolerate lost increments under threads.
             types = dataset.map(self._ensure_type)  # repro-lint: disable=R9
-        if self.heuristic_sample is not None and self.heuristic_sample < 1.0:
-            heuristic_types = types.sample(
-                self.heuristic_sample, seed=self.sample_seed
-            )
-            if heuristic_types.is_empty():
-                heuristic_types = types
-        else:
-            heuristic_types = types
-        with timer.stage("pass1-collections"):
-            depth = self.config.similarity_depth
-            tree = heuristic_types.tree_aggregate_serialized(
-                partial(StatTree, similarity_depth=depth),
-                _stat_add,
-                StatTree.merge,
-                dumps=dumps_stat_tree,
-                loads=loads_stat_tree,
-            )
-            decisions = decide_collections(tree, self.config)
-        extractor = FeatureExtractor(decisions, self.config)
-        with timer.stage("pass2-entities"):
-            shapes = heuristic_types.tree_aggregate_serialized(
-                TupleShapes,
-                partial(_shape_add, decisions=decisions, extractor=extractor),
-                TupleShapes.merge,
-                dumps=dumps_tuple_shapes,
-                loads=loads_tuple_shapes,
-            )
-            object_partitioners, array_partitioners = build_partitioners(
-                shapes, self.config, executor=dataset.executor
-            )
-        with timer.stage("pass3-synthesis"):
-            folder = DecidedFolder(
+        with timer.stage("fold"):
+            bag = _fold_bag(types)
+            sample_bag = None
+            fraction = self.heuristic_sample
+            if fraction is not None and fraction < 1.0:
+                sample = types.sample(fraction, seed=self.sample_seed)
+                if not sample.is_empty():
+                    sample_bag = _fold_bag(sample)
+        with timer.stage("absorb"):
+            state = JxplainState(self.config)
+            state.absorb_bag(bag)
+            heuristics = None
+            if sample_bag is not None:
+                heuristics = JxplainState(self.config)
+                heuristics.absorb_bag(sample_bag)
+        with timer.stage("synthesis"):
+            (
+                schema,
                 decisions,
                 object_partitioners,
                 array_partitioners,
-                self.config,
-                extractor=extractor,
+            ) = state.synthesize_result(
+                heuristics=heuristics, executor=dataset.executor
             )
-            if self.use_fold:
-                node = types.tree_aggregate_serialized(
-                    FoldNode,
-                    partial(_fold_add, folder=folder),
-                    folder.combine,
-                    dumps=dumps_fold_node,
-                    loads=loads_fold_node,
-                )
-                schema = folder.schema(node)
-            else:
-                merger = PipelineMerger(
+            if not self.use_fold:
+                schema = PipelineMerger(
                     self.config,
                     decisions,
                     object_partitioners,
                     array_partitioners,
-                    extractor=extractor,
-                )
-                schema = merger.merge(types.collect())
+                ).merge(state.bag)
         return PipelineResult(
             schema=schema,
             decisions=decisions,
             object_partitioners=object_partitioners,
             array_partitioners=array_partitioners,
             timer=timer,
-            record_count=(
-                _tree_record_count(tree)
-                if heuristic_types is types
-                else types.count()
-            ),
+            record_count=state.record_count,
         )
 
     def run_file(
@@ -589,34 +543,19 @@ class JxplainPipeline(Discoverer):
         return self.run(values).schema
 
 
-def _tree_record_count(tree: StatTree) -> int:
-    """Root record count, recovered from pass ①'s statistics so the
-    pipeline does not need an extra counting pass."""
-    count = sum(tree.primitive_kinds.values())
-    if tree.object_evidence is not None:
-        count += tree.object_evidence.record_count
-    if tree.array_evidence is not None:
-        count += tree.array_evidence.record_count
-    return count
+def _bag_add(bag: CountedBag, tau: JsonType) -> CountedBag:
+    bag.add(tau)
+    return bag
 
 
-def _stat_add(tree: StatTree, tau: JsonType) -> StatTree:
-    tree.add(tau)
-    return tree
+def _fold_bag(types: LocalDataset) -> CountedBag:
+    """Fold a dataset of record types into one counted bag.
 
-
-def _shape_add(
-    shapes: TupleShapes,
-    tau: JsonType,
-    decisions: CollectionDecisions,
-    extractor: FeatureExtractor,
-) -> TupleShapes:
-    shapes.add(tau, decisions, extractor)
-    return shapes
-
-
-def _fold_add(node: FoldNode, tau: JsonType, folder: DecidedFolder) -> FoldNode:
-    return folder.combine(node, folder.lift(tau))
+    Each partition folds in its worker, and the partial bags combine
+    in partition order, so the bag's first-occurrence order is the
+    dataset's.
+    """
+    return types.tree_aggregate(CountedBag, _bag_add, CountedBag.merge)
 
 
 # The partitioned pipeline is a first-class discoverer: registering it

@@ -381,12 +381,18 @@ class JxplainState(DiscoveryState):
     def __contains__(self, tau: JsonType) -> bool:
         return tau in self.bag
 
-    def synthesize_result(self):
+    def synthesize_result(self, *, heuristics=None, executor=None):
         """Run passes ①–③ over the statistics.
 
         Returns ``(schema, decisions, object_partitioners,
         array_partitioners)`` — everything
         :class:`~repro.discovery.pipeline.PipelineResult` needs.
+
+        ``heuristics`` is another :class:`JxplainState` (§4.2's
+        sampling mitigation: one built from a sample) whose statistics
+        passes ① and ② read in place of this state's; pass ③ always
+        folds this state's bag.  ``executor`` fans pass ②'s per-path
+        clustering out (:func:`~repro.discovery.pipeline.build_partitioners`).
         """
         from repro.discovery.fold import DecidedFolder, FoldNode
         from repro.discovery.pipeline import (
@@ -398,13 +404,14 @@ class JxplainState(DiscoveryState):
 
         if not self.bag:
             raise EmptyInputError("jxplain state: no records absorbed")
-        decisions = decide_collections(self.tree, self.config)
+        evidence = self if heuristics is None else heuristics
+        decisions = decide_collections(evidence.tree, self.config)
         extractor = FeatureExtractor(decisions, self.config)
         shapes = TupleShapes()
-        for tau in self.bag.distinct():
+        for tau in evidence.bag.distinct():
             shapes.add(tau, decisions, extractor)
         object_partitioners, array_partitioners = build_partitioners(
-            shapes, self.config
+            shapes, self.config, executor=executor
         )
         folder = DecidedFolder(
             decisions,

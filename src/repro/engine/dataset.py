@@ -6,13 +6,15 @@ algorithms actually require from Spark is narrow:
 * partitioned record storage with ``map`` / ``filter`` / sampling;
 * associative fan-in aggregation (``aggregate`` / ``treeAggregate``)
   for single-pass statistics and for K-reduction's fold;
-* a way to count passes over the data, since JXPLAIN's whole overhead
+* a way to count passes over the data, since JXPLAIN's overhead
   story (Table 5) is "it takes extra passes".
 
 :class:`LocalDataset` provides exactly that surface over in-memory
 partitions.  Every full traversal increments ``scans``, so tests and
-benchmarks can assert pass counts (K-reduce: 1 pass; staged JXPLAIN:
-3 passes, per Figure 3).
+benchmarks can assert pass counts.  K-reduce folds in 1 pass.
+``JxplainPipeline.run`` makes 2: the parse, then one fold into a
+counted bag of record types, which is all Figure 3's three passes
+read.
 
 Per-partition work is dispatched through a pluggable
 :class:`~repro.engine.executor.Executor` (serial, thread pool, or
@@ -104,18 +106,6 @@ def _fold_task(zero, seq_op, partition):
     for item in partition:
         acc = seq_op(acc, item)
     return acc
-
-
-def _serialized_fold_task(zero, seq_op, dumps, partition):
-    """Fold a partition, then serialize the accumulator in the worker.
-
-    What crosses the executor boundary is the ``dumps`` byte payload —
-    a versioned codec state — rather than a pickled live accumulator.
-    """
-    acc = zero()
-    for item in partition:
-        acc = seq_op(acc, item)
-    return dumps(acc)
 
 
 class LocalDataset(Generic[T]):
@@ -297,10 +287,17 @@ class LocalDataset(Generic[T]):
         seq_op: Callable[[U, T], U],
     ) -> List[U]:
         """Fold every partition with ``seq_op``, fanned out over the
-        executor."""
-        return self._executor.map_list(
+        executor.
+
+        A supervised backend that escalates a failed partition to
+        ``skip`` yields ``None`` for it; such partials are dropped,
+        mirroring :meth:`~repro.engine.executor.Executor.map_list`'s
+        skip semantics.
+        """
+        partials = self._executor.map_list(
             partial(_fold_task, zero, seq_op), self._partitions
         )
+        return [acc for acc in partials if acc is not None]
 
     def aggregate(
         self,
@@ -339,54 +336,6 @@ class LocalDataset(Generic[T]):
             combined: List[U] = []
             for index in range(0, len(partials) - 1, 2):
                 combined.append(comb_op(partials[index], partials[index + 1]))
-            if len(partials) % 2:
-                combined.append(partials[-1])
-            partials = combined
-        return partials[0]
-
-    def tree_aggregate_serialized(
-        self,
-        zero: Callable[[], U],
-        seq_op: Callable[[U, T], U],
-        comb_op: Callable[[U, U], U],
-        *,
-        dumps: Callable[[U], bytes],
-        loads: Callable[[bytes], U],
-    ) -> U:
-        """:meth:`tree_aggregate` with a serialized worker boundary.
-
-        Each worker folds its partition and returns ``dumps(acc)`` —
-        a byte payload — instead of the live accumulator; the driver
-        decodes with ``loads`` and fans the partials in pairwise.  This
-        is how a real distributed reduction moves state, and (unlike
-        closures) the ``(zero, seq_op, dumps)`` task pickles, so the
-        process backend genuinely ships work to other processes.
-
-        A supervised backend that escalates a failed partition to
-        ``skip`` yields ``None`` for it; such partials are dropped,
-        mirroring :class:`~repro.engine.executor.Executor.map_list`'s
-        skip semantics.
-        """
-        from repro.engine.instrument import counters
-
-        self._note_scan()
-        payloads = self._executor.map_list(
-            partial(_serialized_fold_task, zero, seq_op, dumps),
-            self._partitions,
-        )
-        payloads = [payload for payload in payloads if payload is not None]
-        counters.add("state.partials", len(payloads))
-        counters.add(
-            "state.partial_bytes", sum(len(payload) for payload in payloads)
-        )
-        partials = [loads(payload) for payload in payloads]
-        if not partials:
-            return zero()
-        while len(partials) > 1:
-            combined: List[U] = []
-            for index in range(0, len(partials) - 1, 2):
-                combined.append(comb_op(partials[index], partials[index + 1]))
-                counters.add("state.merges")
             if len(partials) % 2:
                 combined.append(partials[-1])
             partials = combined

@@ -54,12 +54,7 @@ class TestPipeline:
         assert result.decisions
         assert (("user", "geo"),) not in result.collection_paths
         stages = [name for name, _, _ in result.timer.rows()]
-        assert stages == [
-            "parse",
-            "pass1-collections",
-            "pass2-entities",
-            "pass3-synthesis",
-        ]
+        assert stages == ["parse", "fold", "absorb", "synthesis"]
 
     def test_accepts_prebuilt_dataset_of_types(self, login_serve_stream):
         types = [type_of(r) for r in login_serve_stream]

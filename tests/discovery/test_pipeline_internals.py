@@ -2,11 +2,8 @@
 
 The end-to-end equivalence tests in ``test_pipeline.py`` exercise the
 whole; these pin down the parts: the feature extractor's caching and
-pruning, the TupleShapes monoid, and partitioner compilation.
+pruning, the TupleShapes accumulator, and partitioner compilation.
 """
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.discovery.config import FeatureMode, JxplainConfig
 from repro.discovery.pipeline import (
@@ -18,9 +15,6 @@ from repro.discovery.stat_tree import StatTree, decide_collections
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import ROOT, STAR
 from repro.jsontypes.types import type_of
-from tests.conftest import json_values
-
-value_lists = st.lists(json_values(max_leaves=6), min_size=1, max_size=8)
 
 
 def _setup(records, config=None):
@@ -108,24 +102,6 @@ class TestTupleShapes:
         for tau in types:
             shapes.add(tau, decisions, extractor)
         assert ("counts",) not in shapes.object_features
-
-    @given(value_lists, st.integers(0, 7))
-    @settings(max_examples=40, deadline=None)
-    def test_merge_equals_sequential(self, values, cut_at):
-        types, decisions, extractor = _setup(values)
-        cut = min(cut_at, len(types))
-        left = TupleShapes()
-        for tau in types[:cut]:
-            left.add(tau, decisions, extractor)
-        right = TupleShapes()
-        for tau in types[cut:]:
-            right.add(tau, decisions, extractor)
-        merged = left.merge(right)
-        sequential = TupleShapes()
-        for tau in types:
-            sequential.add(tau, decisions, extractor)
-        assert merged.object_features == sequential.object_features
-        assert merged.array_lengths == sequential.array_lengths
 
 
 class TestBuildPartitioners:

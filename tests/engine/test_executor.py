@@ -156,9 +156,13 @@ class TestScanCounting:
     def test_pipeline_scans_are_exact(self, spec):
         records = make_dataset("github").generate(120, seed=1)
         ds = LocalDataset.from_records(records, 4, executor=spec)
+        before = counters.get("executor.process_fallbacks")
         JxplainPipeline().run(ds)
-        # map(type_of) + one aggregation per pass = 4 total scans.
-        assert ds.scans == 4
+        # map(type_of) + one bag fold = 2 total scans.
+        assert ds.scans == 2
+        # The parse and the bag partials really crossed process
+        # boundaries: nothing degraded to the driver.
+        assert counters.get("executor.process_fallbacks") == before
 
     @pytest.mark.parametrize("spec", ["serial", "threads:3"])
     def test_kreduce_fold_single_scan(self, spec):

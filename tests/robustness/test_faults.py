@@ -35,10 +35,10 @@ def _clean_plan():
 class TestParsing:
     def test_grammar(self):
         plan = FaultPlan.parse(
-            "pass1-collections:0:raise,parse:2:delay:3:0.25,pass3:1:corrupt"
+            "fold:0:raise,parse:2:delay:3:0.25,pass3:1:corrupt"
         )
         assert plan.faults == (
-            FaultSpec("pass1-collections", 0, "raise"),
+            FaultSpec("fold", 0, "raise"),
             FaultSpec("parse", 2, "delay", times=3, delay=0.25),
             FaultSpec("pass3", 1, "corrupt"),
         )

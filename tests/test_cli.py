@@ -269,23 +269,3 @@ class TestDiscoverSharded:
         with pytest.raises(SystemExit):
             main(["discover", str(corpus), "--shards", "zero"])
         assert "--shards" in capsys.readouterr().err
-
-    def test_num_partitions_requires_pipeline(self, corpus, capsys):
-        assert main(
-            [
-                "discover", str(corpus),
-                "--algorithm", "l-reduce",
-                "--num-partitions", "3",
-            ]
-        ) == 2
-        assert "--num-partitions" in capsys.readouterr().err
-
-    def test_num_partitions_on_pipeline(self, corpus, capsys):
-        assert main(
-            [
-                "discover", str(corpus),
-                "--algorithm", "jxplain-pipeline",
-                "--num-partitions", "auto",
-            ]
-        ) == 0
-        assert "ts" in capsys.readouterr().out
