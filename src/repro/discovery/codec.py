@@ -53,7 +53,7 @@ from repro.discovery.sketches import (
     scalar_key,
 )
 from repro.discovery.stat_tree import StatTree
-from repro.errors import StateCodecError
+from repro.errors import SchemaConstructionError, StateCodecError
 from repro.heuristics.collection import CollectionEvidence
 from repro.jsontypes.bag import CountedBag, ListBag, TypeBag
 from repro.jsontypes.kinds import Kind
@@ -186,7 +186,10 @@ class _Reader:
 
     def string(self) -> str:
         size = self.uvarint()
-        return self._take(size).decode("utf-8")
+        try:
+            return self._take(size).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StateCodecError(f"malformed utf-8 string: {exc}") from None
 
     @property
     def exhausted(self) -> bool:
@@ -486,35 +489,45 @@ def write_schema(enc: Encoder, schema: Schema) -> None:
 
 
 def read_schema(dec: Decoder) -> Schema:
+    try:
+        return _schema_node(dec)
+    except SchemaConstructionError as exc:
+        raise StateCodecError(f"malformed schema node: {exc}") from None
+
+
+def _schema_node(dec: Decoder) -> Schema:
     tag = dec.r.uvarint()
     if tag == 0:
         return NEVER
     if tag == 1:
-        return PRIMITIVE_SCHEMAS[_read_kind(dec)]
+        kind = _read_kind(dec)
+        if kind not in PRIMITIVE_SCHEMAS:
+            raise StateCodecError(f"{kind} is not a primitive schema kind")
+        return PRIMITIVE_SCHEMAS[kind]
     if tag == 2:
         required = {
-            dec.r.string(): read_schema(dec)
+            dec.r.string(): _schema_node(dec)
             for _ in range(dec.r.uvarint())
         }
         optional = {
-            dec.r.string(): read_schema(dec)
+            dec.r.string(): _schema_node(dec)
             for _ in range(dec.r.uvarint())
         }
         return ObjectTuple(required, optional)
     if tag == 3:
-        elements = [read_schema(dec) for _ in range(dec.r.uvarint())]
+        elements = [_schema_node(dec) for _ in range(dec.r.uvarint())]
         return ArrayTuple(elements, dec.r.uvarint())
     if tag == 4:
-        element = read_schema(dec)
+        element = _schema_node(dec)
         return ArrayCollection(element, max_length_seen=dec.r.uvarint())
     if tag == 5:
-        value = read_schema(dec)
+        value = _schema_node(dec)
         domain = frozenset(
             dec.r.string() for _ in range(dec.r.uvarint())
         )
         return ObjectCollection(value, domain)
     if tag == 6:
-        return Union([read_schema(dec) for _ in range(dec.r.uvarint())])
+        return Union([_schema_node(dec) for _ in range(dec.r.uvarint())])
     raise StateCodecError(f"unknown schema tag {tag}")
 
 
@@ -666,18 +679,25 @@ def write_config(enc: Encoder, config: JxplainConfig) -> None:
 
 
 def read_config(dec: Decoder) -> JxplainConfig:
-    return JxplainConfig(
-        entropy_threshold=dec.r.float64(),
-        similarity_depth=_read_opt_uvarint(dec),
-        detect_array_tuples=dec.r.boolean(),
-        detect_object_collections=dec.r.boolean(),
-        entity_strategy=EntityStrategy(dec.r.string()),
-        feature_mode=FeatureMode(dec.r.string()),
-        kmeans_k=_read_opt_uvarint(dec),
-        kmeans_seed=dec.r.svarint(),
-        kmeans_weighted=dec.r.boolean(),
-        max_depth=dec.r.uvarint(),
-    )
+    try:
+        config = JxplainConfig(
+            entropy_threshold=dec.r.float64(),
+            similarity_depth=_read_opt_uvarint(dec),
+            detect_array_tuples=dec.r.boolean(),
+            detect_object_collections=dec.r.boolean(),
+            entity_strategy=EntityStrategy(dec.r.string()),
+            feature_mode=FeatureMode(dec.r.string()),
+            kmeans_k=_read_opt_uvarint(dec),
+            kmeans_seed=dec.r.svarint(),
+            kmeans_weighted=dec.r.boolean(),
+            max_depth=dec.r.uvarint(),
+        )
+        config.validate()
+    except StateCodecError:
+        raise
+    except ValueError as exc:
+        raise StateCodecError(f"invalid configuration: {exc}") from None
+    return config
 
 
 # -- enrichment sketches (PR 8) -----------------------------------------------
@@ -754,12 +774,20 @@ def read_sketch(dec: Decoder):
     if cls is BloomMembershipSketch:
         size = dec.r.uvarint()
         hashes = dec.r.uvarint()
-        sketch = BloomMembershipSketch(size, hashes)
+        # The constructors check geometry before they allocate.
+        try:
+            sketch = BloomMembershipSketch(size, hashes)
+        except ValueError as exc:
+            raise StateCodecError(str(exc)) from None
         sketch.count = dec.r.uvarint()
         sketch.bits = int.from_bytes(dec.r._take(size // 8), "little")
         return sketch
     if cls is HLLCardinalitySketch:
-        sketch = HLLCardinalitySketch(dec.r.uvarint())
+        precision = dec.r.uvarint()
+        try:
+            sketch = HLLCardinalitySketch(precision)
+        except ValueError as exc:
+            raise StateCodecError(str(exc)) from None
         sketch.count = dec.r.uvarint()
         sketch.registers = bytearray(
             dec.r._take(1 << sketch.precision)
@@ -869,7 +897,7 @@ def _write_options(enc: Encoder, options: EnrichmentOptions) -> None:
 
 
 def _read_options(dec: Decoder) -> EnrichmentOptions:
-    return EnrichmentOptions(
+    options = EnrichmentOptions(
         sketches=dec.r.boolean(),
         unions=dec.r.boolean(),
         bloom_bits=dec.r.uvarint(),
@@ -878,6 +906,10 @@ def _read_options(dec: Decoder) -> EnrichmentOptions:
         union_value_cap=dec.r.uvarint(),
         union_string_cap=dec.r.uvarint(),
     )
+    try:
+        return options.validate()
+    except ValueError as exc:
+        raise StateCodecError(f"invalid enrichment options: {exc}") from None
 
 
 def write_enrichment(enc: Encoder, state: EnrichmentState) -> None:
@@ -900,9 +932,20 @@ def write_enrichment(enc: Encoder, state: EnrichmentState) -> None:
 def read_enrichment(dec: Decoder) -> EnrichmentState:
     state = EnrichmentState(_read_options(dec))
     state.record_count = dec.r.uvarint()
+    options = state.options
     for _ in range(dec.r.uvarint()):
         path = read_path(dec)
-        state.paths[path] = _read_path_sketches(dec)
+        bundle = _read_path_sketches(dec)
+        if (
+            bundle.members.size != options.bloom_bits
+            or bundle.members.hashes != options.bloom_hashes
+            or bundle.cardinality.precision != options.hll_precision
+        ):
+            raise StateCodecError(
+                f"sketch geometry at path {path!r} differs from the "
+                "state's options"
+            )
+        state.paths[path] = bundle
     state.discriminants.records = dec.r.uvarint()
     for _ in range(dec.r.uvarint()):
         name = dec.r.string()

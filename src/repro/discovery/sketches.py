@@ -50,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -213,27 +214,35 @@ class MinMaxSketch(Sketch):
         self.maximum: Optional[Union[int, float]] = None
 
     def absorb(self, value) -> None:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        self.absorb_many((value,))
+
+    def absorb_many(self, values) -> None:
+        """Absorb the numbers among ``values``; other scalars are skipped."""
+        kept = []
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            if isinstance(value, float):
+                if value != value:
+                    continue
+                if value == 0.0:
+                    # -0.0 == 0.0 but encodes with its sign bit; without
+                    # a canonical zero, min()/max() ties keep whichever
+                    # sign arrived first and merge stops being
+                    # byte-commutative.
+                    value = 0.0
+            elif not -_SVARINT_MAX <= value <= _SVARINT_MAX:
+                value = float(value)
+            kept.append(value)
+        if not kept:
             return
-        if isinstance(value, float):
-            if value != value:
-                return
-            if value == 0.0:
-                # -0.0 == 0.0 but encodes with its sign bit; without a
-                # canonical zero, min()/max() ties keep whichever sign
-                # arrived first and merge stops being byte-commutative.
-                value = 0.0
-        elif not -_SVARINT_MAX <= value <= _SVARINT_MAX:
-            value = float(value)
-        if self.count == 0:
-            self.minimum = value
-            self.maximum = value
-        else:
-            if _min_key(value) < _min_key(self.minimum):
-                self.minimum = value
-            if _max_key(value) > _max_key(self.maximum):
-                self.maximum = value
-        self.count += 1
+        low = min(kept, key=_min_key)
+        high = max(kept, key=_max_key)
+        if self.count == 0 or _min_key(low) < _min_key(self.minimum):
+            self.minimum = low
+        if self.count == 0 or _max_key(high) > _max_key(self.maximum):
+            self.maximum = high
+        self.count += len(kept)
 
     def merge(self, other: "MinMaxSketch") -> "MinMaxSketch":
         merged = MinMaxSketch()
@@ -301,9 +310,39 @@ class BloomMembershipSketch(Sketch):
         return [(h1 + i * h2) % self.size for i in range(self.hashes)]
 
     def add_fingerprint(self, fingerprint: bytes) -> None:
-        for index in self._indexes(fingerprint):
-            self.bits |= 1 << index
-        self.count += 1
+        self.add_fingerprints((fingerprint,))
+
+    def add_fingerprints(self, fingerprints) -> None:
+        """Set the bits of every fingerprint; ``count`` adds them all.
+
+        Bits are idempotent, so each distinct fingerprint is hashed
+        once.  The probes are :meth:`_indexes` reduced mod ``size``
+        term by term, which keeps the arithmetic on small ints.
+        """
+        distinct = set(fingerprints)
+        if distinct:
+            blake2b = hashlib.blake2b
+            words = struct.unpack(
+                f"<{2 * len(distinct)}Q",
+                b"".join([
+                    blake2b(fingerprint, digest_size=16).digest()
+                    for fingerprint in distinct
+                ]),
+            )
+            size = self.size
+            hashes = self.hashes
+            indexes = set()
+            for h1, h2 in zip(words[::2], words[1::2]):
+                start = h1 % size
+                # Odd mod a multiple of 8 is odd, so the step is >= 1.
+                step = (h2 | 1) % size
+                for index in range(start, start + hashes * step, step):
+                    indexes.add(index % size)
+            mask = 0
+            for index in indexes:
+                mask |= 1 << index
+            self.bits |= mask
+        self.count += len(fingerprints)
 
     def absorb(self, value) -> None:
         self.add_fingerprint(scalar_fingerprint(value))
@@ -375,14 +414,30 @@ class HLLCardinalitySketch(Sketch):
         self.count = 0
 
     def add_fingerprint(self, fingerprint: bytes) -> None:
-        raw = hashlib.blake2b(fingerprint, digest_size=8).digest()
-        value = int.from_bytes(raw, "big")
-        index = value >> (64 - self.precision)
-        rest = value & ((1 << (64 - self.precision)) - 1)
-        rank = (64 - self.precision) - rest.bit_length() + 1
-        if rank > self.registers[index]:
-            self.registers[index] = rank
-        self.count += 1
+        self.add_fingerprints((fingerprint,))
+
+    def add_fingerprints(self, fingerprints) -> None:
+        """Raise the register of every fingerprint; ``count`` adds them
+        all.  The register maximum is idempotent, so each distinct
+        fingerprint is hashed once."""
+        distinct = set(fingerprints)
+        if distinct:
+            blake2b = hashlib.blake2b
+            width = 64 - self.precision
+            low_bits = (1 << width) - 1
+            registers = self.registers
+            for value in struct.unpack(
+                f">{len(distinct)}Q",
+                b"".join([
+                    blake2b(fingerprint, digest_size=8).digest()
+                    for fingerprint in distinct
+                ]),
+            ):
+                index = value >> width
+                rank = width - (value & low_bits).bit_length() + 1
+                if rank > registers[index]:
+                    registers[index] = rank
+        self.count += len(fingerprints)
 
     def absorb(self, value) -> None:
         self.add_fingerprint(scalar_fingerprint(value))
@@ -422,17 +477,19 @@ class HLLCardinalitySketch(Sketch):
 #: Detected string formats, in fixed priority order (``dominant``
 #: returns the first one that matched *every* string).  date-time must
 #: precede date: every date-time prefix-matches the date pattern's
-#: fullmatch cousin but not vice versa.
+#: fullmatch cousin but not vice versa.  ``re.ASCII`` keeps ``\d`` to
+#: ASCII digits, as RFC 3339 requires (``'٢٠٢٠-٠١-٠١'`` is no date).
 FORMAT_PATTERNS: Tuple[Tuple[str, "re.Pattern"], ...] = (
     (
         "date-time",
         re.compile(
             r"\d{4}-\d{2}-\d{2}[Tt ]\d{2}:\d{2}:\d{2}"
-            r"(?:\.\d+)?(?:[Zz]|[+-]\d{2}:\d{2})?\Z"
+            r"(?:\.\d+)?(?:[Zz]|[+-]\d{2}:\d{2})?\Z",
+            re.ASCII,
         ),
     ),
-    ("date", re.compile(r"\d{4}-\d{2}-\d{2}\Z")),
-    ("time", re.compile(r"\d{2}:\d{2}:\d{2}(?:\.\d+)?\Z")),
+    ("date", re.compile(r"\d{4}-\d{2}-\d{2}\Z", re.ASCII)),
+    ("time", re.compile(r"\d{2}:\d{2}:\d{2}(?:\.\d+)?\Z", re.ASCII)),
     (
         "uuid",
         re.compile(
@@ -443,6 +500,15 @@ FORMAT_PATTERNS: Tuple[Tuple[str, "re.Pattern"], ...] = (
     ("email", re.compile(r"[^@\s]+@[^@\s]+\.[^@\s]+\Z")),
     ("uri", re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://\S+\Z")),
 )
+
+# In FORMAT_PATTERNS order; StringFormatSketch.absorb_many counts in it.
+_DATE_TIME, _DATE, _TIME, _UUID, _EMAIL, _URI = (
+    pattern.match for _, pattern in FORMAT_PATTERNS
+)
+
+#: Every date-time, date, time and uuid starts with one of these; a
+#: string that does not is tried against none of the four patterns.
+_DIGIT_OR_HEX = frozenset("0123456789abcdefABCDEF")
 
 
 class StringFormatSketch(Sketch):
@@ -464,12 +530,40 @@ class StringFormatSketch(Sketch):
         self.counts: Dict[str, int] = {}
 
     def absorb(self, value) -> None:
-        if not isinstance(value, str):
-            return
-        self.total += 1
-        for format_name, pattern in FORMAT_PATTERNS:
-            if pattern.match(value):
-                self.counts[format_name] = self.counts.get(format_name, 0) + 1
+        self.absorb_many((value,))
+
+    def absorb_many(self, values) -> None:
+        """Count the strings among ``values``; other scalars are skipped.
+
+        Each pattern runs only on strings that pass a necessary
+        condition for it (first character, ``@``, ``://``), so the
+        counts equal a match of every pattern against every string.
+        """
+        total = date_time = date = clock = uuid = email = uri = 0
+        for value in values:
+            if not isinstance(value, str):
+                continue
+            total += 1
+            if value[:1] in _DIGIT_OR_HEX:
+                if _DATE_TIME(value):
+                    date_time += 1
+                if _DATE(value):
+                    date += 1
+                if _TIME(value):
+                    clock += 1
+                if _UUID(value):
+                    uuid += 1
+            if "@" in value and _EMAIL(value):
+                email += 1
+            if "://" in value and _URI(value):
+                uri += 1
+        self.total += total
+        counts = self.counts
+        for (format_name, _), count in zip(
+            FORMAT_PATTERNS, (date_time, date, clock, uuid, email, uri)
+        ):
+            if count:
+                counts[format_name] = counts.get(format_name, 0) + count
 
     def dominant(self) -> Optional[str]:
         if self.total == 0:
@@ -633,15 +727,17 @@ class PathSketches:
         return bundle
 
     def absorb(self, value: Scalar) -> None:
-        fingerprint = scalar_fingerprint(value)
-        self.members.add_fingerprint(fingerprint)
-        self.cardinality.add_fingerprint(fingerprint)
-        if isinstance(value, bool):
-            return
-        if isinstance(value, (int, float)):
-            self.numbers.absorb(value)
-        elif isinstance(value, str):
-            self.strings.absorb(value)
+        self.absorb_column((value,))
+
+    def absorb_column(self, values) -> None:
+        """Absorb every scalar observed at this path, in one call per
+        sketch.  Each sketch is a commutative monoid, so this is the
+        same fold as absorbing the values one by one."""
+        fingerprints = [scalar_fingerprint(value) for value in values]
+        self.members.add_fingerprints(fingerprints)
+        self.cardinality.add_fingerprints(fingerprints)
+        self.numbers.absorb_many(values)
+        self.strings.absorb_many(values)
 
     def merge(self, other: "PathSketches") -> "PathSketches":
         return PathSketches.from_sketches(
@@ -891,6 +987,11 @@ class DiscriminantAccumulator:
         )
 
 
+#: Scalars :class:`EnrichmentState` buffers before it absorbs them,
+#: one column per path, into the sketches.
+_COLUMN_SCALARS = 8192
+
+
 class EnrichmentState:
     """All value-domain evidence for one discovery run.
 
@@ -898,17 +999,45 @@ class EnrichmentState:
     role of ``absorb`` (it takes the *value*, which structural absorb
     deliberately discards), ``merge`` requires equal options, and
     equality is byte equality through the codec.
+
+    ``observe`` appends each scalar to its path's column and absorbs
+    the columns, one sketch call each, once :data:`_COLUMN_SCALARS`
+    are buffered.  Every read of :attr:`paths` flushes first, and the
+    sketches are commutative monoids, so no reader sees a flush point.
     """
 
-    __slots__ = ("options", "record_count", "paths", "discriminants")
+    __slots__ = (
+        "options", "record_count", "_paths", "_pending", "_buffered",
+        "discriminants",
+    )
 
     def __init__(self, options: Optional[EnrichmentOptions] = None) -> None:
         self.options = (options or EnrichmentOptions()).validate()
         self.record_count = 0
-        self.paths: Dict[Path, PathSketches] = {}
+        self._paths: Dict[Path, PathSketches] = {}
+        self._pending: Dict[Path, List[Scalar]] = {}
+        self._buffered = 0
         self.discriminants = DiscriminantAccumulator(
             self.options.union_value_cap, self.options.union_string_cap
         )
+
+    @property
+    def paths(self) -> Dict[Path, PathSketches]:
+        """The sketch bundle of every path, with all buffered scalars
+        absorbed."""
+        if self._buffered:
+            self._flush()
+        return self._paths
+
+    def _flush(self) -> None:
+        paths = self._paths
+        for path, column in self._pending.items():
+            bundle = paths.get(path)
+            if bundle is None:
+                bundle = paths[path] = PathSketches(self.options)
+            bundle.absorb_column(column)
+        self._pending = {}
+        self._buffered = 0
 
     @classmethod
     def empty(
@@ -926,8 +1055,8 @@ class EnrichmentState:
             self.discriminants.observe(value)
         if not self.options.sketches:
             return
-        paths = self.paths
-        options = self.options
+        pending = self._pending
+        buffered = 0
         stack: List[Tuple[object, Path]] = [(value, ROOT)]
         while stack:
             node, path = stack.pop()
@@ -939,10 +1068,15 @@ class EnrichmentState:
                 for child in node:
                     stack.append((child, child_path))
             else:
-                bundle = paths.get(path)
-                if bundle is None:
-                    bundle = paths[path] = PathSketches(options)
-                bundle.absorb(node)
+                column = pending.get(path)
+                if column is None:
+                    pending[path] = [node]
+                else:
+                    column.append(node)
+                buffered += 1
+        self._buffered += buffered
+        if self._buffered >= _COLUMN_SCALARS:
+            self._flush()
 
     def merge(self, other: "EnrichmentState") -> "EnrichmentState":
         if self.options != other.options:

@@ -291,8 +291,8 @@ def read_jsonlines_typed(
     so the *value* survives alongside the interned type.  There is no
     structural-hash fast path here — a cache hit skips parsing, and
     enrichment sketches need the parsed values — so this reader costs
-    one full parse per line; that cost is exactly the sketch overhead
-    :mod:`benchmarks.bench_enrich` measures.
+    one full parse per line.  Most of an enriched run's extra time is
+    the sketch sidecar the values feed, not this parse.
 
     Yields the same types (the same interned objects) in the same
     order as the fused reader, with the same :class:`IngestReport`, so

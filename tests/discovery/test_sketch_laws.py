@@ -18,13 +18,18 @@ pipeline:
 
 from __future__ import annotations
 
+import hashlib
 import math
+from datetime import datetime
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.discovery import sketches
 from repro.discovery.sketches import (
     BloomMembershipSketch,
+    FORMAT_PATTERNS,
     DiscriminantAccumulator,
     EnrichmentOptions,
     EnrichmentState,
@@ -158,6 +163,21 @@ class TestSketchSemantics:
         sketch = _build(StringFormatSketch, ["2021-06-01", "2021-06-02"])
         assert sketch.dominant() == "date"
         sketch.absorb("not a date")
+        assert sketch.dominant() is None
+
+    @pytest.mark.parametrize("value", [
+        "\u0662\u0660\u0662\u0660-\u0660\u0661-\u0660\u0661",
+        "\uff12\uff10\uff12\uff10-\uff10\uff11-\uff10\uff11",
+        "\uff12\uff10\uff12\uff10-\uff10\uff11-\uff10\uff11"
+        "T\uff11\uff12:\uff10\uff10:\uff10\uff10Z",
+        "\uff11\uff12:\uff10\uff10:\uff10\uff10",
+    ], ids=["arabic-indic-date", "fullwidth-date", "fullwidth-date-time",
+            "fullwidth-time"])
+    def test_formats_require_ascii_digits(self, value):
+        # RFC 3339, which JSON Schema ``format`` follows, allows only
+        # ASCII digits; Arabic-Indic and fullwidth ones match nothing.
+        sketch = _build(StringFormatSketch, [value])
+        assert sketch.counts == {}
         assert sketch.dominant() is None
 
     @given(value=scalars)
@@ -369,3 +389,138 @@ class TestPathSketchBundles:
             return bundle
 
         assert build(a).merge(build(b)) == build(a + b)
+
+
+#: (bloom_bits, bloom_hashes, hll_precision): every Bloom width and
+#: hash count and every HLL precision below appears in one geometry;
+#: 1000 is not a power of two.
+GEOMETRIES = [(8, 1, 4), (1000, 7, 8), (1024, 4, 16)]
+
+
+def _reference_bloom(size, hashes, values):
+    """The per-value Bloom fold: ``_indexes`` on each fingerprint."""
+    sketch = BloomMembershipSketch(size, hashes)
+    for value in values:
+        for index in sketch._indexes(scalar_fingerprint(value)):
+            sketch.bits |= 1 << index
+        sketch.count += 1
+    return sketch
+
+
+def _reference_hll(precision, values):
+    """The per-value HyperLogLog fold, one digest per value."""
+    sketch = HLLCardinalitySketch(precision)
+    width = 64 - precision
+    for value in values:
+        digest = hashlib.blake2b(
+            scalar_fingerprint(value), digest_size=8
+        ).digest()
+        word = int.from_bytes(digest, "big")
+        index = word >> width
+        rank = width - (word & ((1 << width) - 1)).bit_length() + 1
+        sketch.registers[index] = max(sketch.registers[index], rank)
+        sketch.count += 1
+    return sketch
+
+
+class TestColumnAbsorption:
+    """A batch call over a column is the fold of per-value calls."""
+
+    @given(values=scalar_lists)
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("bits, hashes, precision", GEOMETRIES)
+    def test_bloom_and_hll_batches_equal_per_value_folds(
+        self, bits, hashes, precision, values
+    ):
+        fingerprints = [scalar_fingerprint(value) for value in values]
+        members = BloomMembershipSketch(bits, hashes)
+        members.add_fingerprints(fingerprints)
+        assert members == _reference_bloom(bits, hashes, values)
+        cardinality = HLLCardinalitySketch(precision)
+        cardinality.add_fingerprints(fingerprints)
+        assert cardinality == _reference_hll(precision, values)
+
+    @given(values=scalar_lists)
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("cls", [MinMaxSketch, StringFormatSketch])
+    def test_absorb_many_equals_absorb(self, cls, values):
+        batch = cls()
+        batch.absorb_many(values)
+        assert batch == _build(cls, values)
+        assert batch.to_bytes() == _build(cls, values).to_bytes()
+
+    @given(values=st.lists(
+        st.one_of(
+            scalars,
+            st.text(alphabet="0123456789abcdefABCDEF@:/.-T "),
+            st.uuids().map(str),
+            st.uuids().map(str).map(str.upper),
+            st.datetimes().map(datetime.isoformat),
+            st.emails(),
+        ),
+        max_size=30,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_format_prefilter_skips_no_match(self, values):
+        sketch = StringFormatSketch()
+        sketch.absorb_many(values)
+        strings = [value for value in values if isinstance(value, str)]
+        assert sketch.total == len(strings)
+        for format_name, pattern in FORMAT_PATTERNS:
+            matched = sum(1 for value in strings if pattern.match(value))
+            assert sketch.counts.get(format_name, 0) == matched
+
+    @given(values=scalar_lists)
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("bits, hashes, precision", GEOMETRIES)
+    def test_bundle_column_equals_per_value_absorb(
+        self, bits, hashes, precision, values
+    ):
+        options = EnrichmentOptions(
+            bloom_bits=bits, bloom_hashes=hashes, hll_precision=precision
+        )
+        column = PathSketches(options)
+        column.absorb_column(values)
+        single = PathSketches(options)
+        for value in values:
+            single.absorb(value)
+        assert column == single
+
+    @given(values=st.lists(json_values(8), max_size=15))
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("spec", ENRICH_SPECS)
+    def test_bytes_do_not_depend_on_the_flush_limit(self, spec, values):
+        options = parse_enrich_spec(spec)
+        encoded = set()
+        for limit in (1, 7, sketches._COLUMN_SCALARS):
+            with mock.patch.object(sketches, "_COLUMN_SCALARS", limit):
+                state = EnrichmentState(options)
+                for value in values:
+                    state.observe(value)
+                encoded.add(state.to_bytes())
+        assert len(encoded) == 1
+
+    @given(values=st.lists(json_values(8), max_size=15),
+           cut=st.integers(min_value=0, max_value=15),
+           read=st.sampled_from(["paths", "to_bytes", "eq"]))
+    @settings(max_examples=60, deadline=None)
+    def test_reading_mid_stream_does_not_change_the_bytes(
+        self, values, cut, read
+    ):
+        options = parse_enrich_spec("sketches,unions")
+        straight = EnrichmentState(options)
+        interrupted = EnrichmentState(options)
+        for index, value in enumerate(values):
+            if index == cut:
+                if read == "paths":
+                    interrupted.paths  # a read flushes the columns
+                    assert not interrupted._pending
+                elif read == "to_bytes":
+                    interrupted.to_bytes()
+                else:
+                    assert interrupted == interrupted.merge(
+                        interrupted.empty_like()
+                    )
+            straight.observe(value)
+            interrupted.observe(value)
+        assert interrupted.to_bytes() == straight.to_bytes()
