@@ -2,17 +2,21 @@
 
 Every constituent of a :class:`~repro.discovery.state.DiscoveryState`
 — counted bags, :class:`~repro.jsontypes.types.JsonType`\\ s, schemas,
-stat trees, configurations and the enrichment sidecar — has a codec
-here, so partial states can cross the executor boundary (and
-checkpoint files) in a compact wire form instead of as pickled live
-objects.
+configurations and the enrichment sidecar — has a codec here, so
+partial states can cross the executor boundary (and checkpoint files)
+in a compact wire form instead of as pickled live objects.
 
 Design:
 
 * Every payload starts with a fixed header: magic ``RDSC``, a codec
-  version (uvarint), and a payload-kind string.  Decoding a payload of
-  the wrong kind or version fails loudly
+  version (uvarint), and a payload-kind string, and ends with the
+  CRC-32 of every byte before it.  Decoding a payload of the wrong
+  kind or version, with a bad checksum or nested deeper than the
+  bounds below, fails loudly
   (:class:`~repro.errors.StateCodecError`), never silently.
+* Version-2 payloads still load: they have no checksum, and the stat
+  tree a JXPLAIN body held then is consumed by
+  :func:`skip_v2_stat_tree` and dropped.
 * Each payload carries a **type pool**: a table of the distinct
   :class:`JsonType` nodes it references, written bottom-up so every
   row only points at earlier rows.  The body then refers to types by
@@ -36,6 +40,7 @@ length-prefixed UTF-8.
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.discovery.config import EntityStrategy, FeatureMode, JxplainConfig
@@ -52,16 +57,14 @@ from repro.discovery.sketches import (
     scalar_from_key,
     scalar_key,
 )
-from repro.discovery.stat_tree import StatTree
 from repro.errors import SchemaConstructionError, StateCodecError
-from repro.heuristics.collection import CollectionEvidence
 from repro.jsontypes.bag import CountedBag, ListBag, TypeBag
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import Path, STAR
-from repro.jsontypes.similarity import SimilarityAccumulator
 from repro.jsontypes.types import (
     ArrayType,
     JsonType,
+    MAX_DEPTH,
     ObjectType,
     PRIMITIVES,
     PrimitiveType,
@@ -84,8 +87,14 @@ MAGIC = b"RDSC"
 
 #: Bumped whenever the wire format changes incompatibly.
 #: Version 2: state bodies carry a trailing enrichment section
-#: (value-domain sketches + discriminant evidence; PR 8).
-CODEC_VERSION = 2
+#: (value-domain sketches + discriminant evidence).
+#: Version 3: a JXPLAIN body drops its stat tree, and every payload ends
+#: with a little-endian CRC-32 trailer.
+CODEC_VERSION = 3
+
+#: Deepest schema a payload may hold.  A schema built from types of
+#: depth <= MAX_DEPTH adds at most a union above each type level.
+MAX_SCHEMA_DEPTH = 2 * MAX_DEPTH
 
 #: Fixed kind numbering shared by every codec below.
 _KIND_ORDER: Tuple[Kind, ...] = (
@@ -273,18 +282,22 @@ def _read_type_table(reader: _Reader) -> List[JsonType]:  # repro-lint: disable=
                 if child_id >= len(types):
                     raise StateCodecError("type row references later row")
                 fields[key] = types[child_id]
-            types.append(intern_type(ObjectType(fields)))
-            continue
-        if tag == 5:
+            tau: JsonType = ObjectType(fields)
+        elif tag == 5:
             elements = []
             for _ in range(reader.uvarint()):
                 child_id = reader.uvarint()
                 if child_id >= len(types):
                     raise StateCodecError("type row references later row")
                 elements.append(types[child_id])
-            types.append(intern_type(ArrayType(tuple(elements))))
-            continue
-        raise StateCodecError(f"unknown type-row tag {tag}")
+            tau = ArrayType(tuple(elements))
+        else:
+            raise StateCodecError(f"unknown type-row tag {tag}")
+        if tau.depth() > MAX_DEPTH:
+            raise StateCodecError(
+                f"type row nests deeper than {MAX_DEPTH} levels"
+            )
+        types.append(intern_type(tau))
     return types
 
 
@@ -334,11 +347,16 @@ class Encoder:
         head.string(kind)
         self._pool.write_table(head)
         head.raw(self._stack[0].getvalue())
-        return head.getvalue()
+        payload = head.getvalue()
+        return payload + zlib.crc32(payload).to_bytes(4, "little")
 
 
 class Decoder:
-    """Parses a payload header + type table and exposes the body."""
+    """Parses a payload header + type table and exposes the body.
+
+    ``version`` is the payload's codec version (2 or 3); a version-3
+    checksum is verified before anything after the version is parsed.
+    """
 
     def __init__(self, data: bytes, expect_kind: Optional[str] = None):
         if not isinstance(data, (bytes, bytearray, memoryview)):
@@ -350,11 +368,17 @@ class Decoder:
             raise StateCodecError("bad magic: not a discovery-state payload")
         reader = _Reader(data, 4)
         version = reader.uvarint()
-        if version != CODEC_VERSION:
+        if version not in (2, CODEC_VERSION):
             raise StateCodecError(
                 f"unsupported codec version {version} "
-                f"(this build reads version {CODEC_VERSION})"
+                f"(this build reads versions 2 and {CODEC_VERSION})"
             )
+        if version == CODEC_VERSION:
+            body, crc = data[:-4], data[-4:]
+            if zlib.crc32(body) != int.from_bytes(crc, "little"):
+                raise StateCodecError("checksum mismatch: corrupt payload")
+            reader = _Reader(body, reader._pos)
+        self.version = version
         self.kind = reader.string()
         if expect_kind is not None and self.kind != expect_kind:
             raise StateCodecError(
@@ -490,12 +514,19 @@ def write_schema(enc: Encoder, schema: Schema) -> None:
 
 def read_schema(dec: Decoder) -> Schema:
     try:
-        return _schema_node(dec)
+        return _schema_node(dec, 1)
     except SchemaConstructionError as exc:
         raise StateCodecError(f"malformed schema node: {exc}") from None
 
 
-def _schema_node(dec: Decoder) -> Schema:
+def _schema_node(dec: Decoder, depth: int) -> Schema:
+    # One frame per level (loops, not comprehensions): the bound trips
+    # well before the interpreter's recursion limit.
+    if depth > MAX_SCHEMA_DEPTH:
+        raise StateCodecError(
+            f"schema nests deeper than {MAX_SCHEMA_DEPTH} levels"
+        )
+    depth += 1
     tag = dec.r.uvarint()
     if tag == 0:
         return NEVER
@@ -505,29 +536,32 @@ def _schema_node(dec: Decoder) -> Schema:
             raise StateCodecError(f"{kind} is not a primitive schema kind")
         return PRIMITIVE_SCHEMAS[kind]
     if tag == 2:
-        required = {
-            dec.r.string(): _schema_node(dec)
-            for _ in range(dec.r.uvarint())
-        }
-        optional = {
-            dec.r.string(): _schema_node(dec)
-            for _ in range(dec.r.uvarint())
-        }
+        required: Dict[str, Schema] = {}
+        optional: Dict[str, Schema] = {}
+        for fields in (required, optional):
+            for _ in range(dec.r.uvarint()):
+                key = dec.r.string()
+                fields[key] = _schema_node(dec, depth)
         return ObjectTuple(required, optional)
     if tag == 3:
-        elements = [_schema_node(dec) for _ in range(dec.r.uvarint())]
+        elements = []
+        for _ in range(dec.r.uvarint()):
+            elements.append(_schema_node(dec, depth))
         return ArrayTuple(elements, dec.r.uvarint())
     if tag == 4:
-        element = _schema_node(dec)
+        element = _schema_node(dec, depth)
         return ArrayCollection(element, max_length_seen=dec.r.uvarint())
     if tag == 5:
-        value = _schema_node(dec)
+        value = _schema_node(dec, depth)
         domain = frozenset(
             dec.r.string() for _ in range(dec.r.uvarint())
         )
         return ObjectCollection(value, domain)
     if tag == 6:
-        return Union([_schema_node(dec) for _ in range(dec.r.uvarint())])
+        branches = []
+        for _ in range(dec.r.uvarint()):
+            branches.append(_schema_node(dec, depth))
+        return Union(branches)
     raise StateCodecError(f"unknown schema tag {tag}")
 
 
@@ -554,112 +588,69 @@ def read_bag(dec: Decoder) -> TypeBag:
     return bag
 
 
-# -- collection evidence ------------------------------------------------------
+# -- version-2 stat trees -----------------------------------------------------
+#
+# A version-2 JXPLAIN body ends with pass ①'s stat tree.  Node: optional
+# similarity depth, primitive-kind counts, optional object and array
+# evidence, then children, each a step (tag 0 + string, or tag 1 +
+# uvarint) followed by its node.
 
 
-def _write_similarity(enc: Encoder, acc: SimilarityAccumulator) -> None:
-    _write_opt_uvarint(enc, acc.max_depth)
-    enc.w.boolean(acc.all_similar)
-    enc.w.uvarint(acc.count)
-    enc.w.boolean(acc.maximal is not None)
-    if acc.maximal is not None:
-        enc.type_ref(acc.maximal)
+def _skip_v2_evidence(dec: Decoder) -> None:
+    r = dec.r
+    _read_kind(dec)
+    r.uvarint()  # record count
+    for _ in range(r.uvarint()):  # key counts
+        r.string()
+        r.uvarint()
+    for _ in range(r.uvarint()):  # length counts
+        r.uvarint()
+        r.uvarint()
+    r.boolean()  # mixed kinds
+    _read_opt_uvarint(dec)  # similarity depth
+    r.boolean()  # all similar
+    r.uvarint()  # similarity count
+    if r.boolean():
+        dec.type_ref()  # maximal type
 
 
-def _read_similarity(dec: Decoder) -> SimilarityAccumulator:
-    acc = SimilarityAccumulator(_read_opt_uvarint(dec))
-    acc.all_similar = dec.r.boolean()
-    acc.count = dec.r.uvarint()
-    if dec.r.boolean():
-        acc.maximal = dec.type_ref()
-    return acc
+def skip_v2_stat_tree(dec: Decoder) -> None:
+    """Consume a version-2 stat tree, checking it but building nothing.
 
-
-def write_evidence(enc: Encoder, evidence: CollectionEvidence) -> None:
-    _write_kind(enc, evidence.kind)
-    enc.w.uvarint(evidence.record_count)
-    enc.w.uvarint(len(evidence.key_counts))
-    for key in sorted(evidence.key_counts):
-        enc.w.string(key)
-        enc.w.uvarint(evidence.key_counts[key])
-    enc.w.uvarint(len(evidence.length_counts))
-    for length in sorted(evidence.length_counts):
-        enc.w.uvarint(length)
-        enc.w.uvarint(evidence.length_counts[length])
-    enc.w.boolean(evidence.mixed_kinds)
-    _write_similarity(enc, evidence.similarity)
-
-
-def read_evidence(dec: Decoder) -> CollectionEvidence:
-    evidence = CollectionEvidence(_read_kind(dec))
-    evidence.record_count = dec.r.uvarint()
-    for _ in range(dec.r.uvarint()):
-        key = dec.r.string()
-        evidence.key_counts[key] = dec.r.uvarint()
-    for _ in range(dec.r.uvarint()):
-        length = dec.r.uvarint()
-        evidence.length_counts[length] = dec.r.uvarint()
-    evidence.mixed_kinds = dec.r.boolean()
-    evidence.similarity = _read_similarity(dec)
-    return evidence
-
-
-def _write_opt(enc: Encoder, value, write_fn: Callable) -> None:
-    enc.w.boolean(value is not None)
-    if value is not None:
-        write_fn(enc, value)
-
-
-def _read_opt(dec: Decoder, read_fn: Callable):
-    return read_fn(dec) if dec.r.boolean() else None
-
-
-# -- stat trees ---------------------------------------------------------------
-
-
-def _step_sort_key(step):
-    # str steps before int steps; comparable within each group.
-    return (1, step, "") if isinstance(step, int) else (0, 0, step)
-
-
-def write_stat_tree(enc: Encoder, tree: StatTree) -> None:
-    _write_opt_uvarint(enc, tree.similarity_depth)
-    kinds = sorted(tree.primitive_kinds, key=_KIND_TAG.__getitem__)
-    enc.w.uvarint(len(kinds))
-    for kind in kinds:
-        _write_kind(enc, kind)
-        enc.w.uvarint(tree.primitive_kinds[kind])
-    _write_opt(enc, tree.object_evidence, write_evidence)
-    _write_opt(enc, tree.array_evidence, write_evidence)
-    steps = sorted(tree.children, key=_step_sort_key)
-    enc.w.uvarint(len(steps))
-    for step in steps:
-        if isinstance(step, str):
-            enc.w.uvarint(0)
-            enc.w.string(step)
-        else:
-            enc.w.uvarint(1)
-            enc.w.uvarint(step)
-        write_stat_tree(enc, tree.children[step])
-
-
-def read_stat_tree(dec: Decoder) -> StatTree:
-    tree = StatTree(similarity_depth=_read_opt_uvarint(dec))
-    for _ in range(dec.r.uvarint()):
-        kind = _read_kind(dec)
-        tree.primitive_kinds[kind] = dec.r.uvarint()
-    tree.object_evidence = _read_opt(dec, read_evidence)
-    tree.array_evidence = _read_opt(dec, read_evidence)
-    for _ in range(dec.r.uvarint()):
-        tag = dec.r.uvarint()
-        if tag == 0:
-            step = dec.r.string()
-        elif tag == 1:
-            step = dec.r.uvarint()
-        else:
-            raise StateCodecError(f"unknown stat-tree step tag {tag}")
-        tree.children[step] = read_stat_tree(dec)
-    return tree
+    Iterative: ``remaining`` holds, per open level, how many nodes are
+    still to read there, so a corrupt tree fails on the depth bound (a
+    tree is as deep as the types it was built from), never on the
+    interpreter's stack.
+    """
+    r = dec.r
+    remaining = [1]
+    while remaining:
+        if not remaining[-1]:
+            remaining.pop()
+            continue
+        remaining[-1] -= 1
+        if len(remaining) > 1:
+            tag = r.uvarint()
+            if tag == 0:
+                r.string()
+            elif tag == 1:
+                r.uvarint()
+            else:
+                raise StateCodecError(f"unknown stat-tree step tag {tag}")
+        _read_opt_uvarint(dec)  # similarity depth
+        for _ in range(r.uvarint()):  # primitive-kind counts
+            _read_kind(dec)
+            r.uvarint()
+        for _ in range(2):  # object, then array evidence
+            if r.boolean():
+                _skip_v2_evidence(dec)
+        children = r.uvarint()
+        if children:
+            if len(remaining) >= MAX_DEPTH:
+                raise StateCodecError(
+                    f"stat tree nests deeper than {MAX_DEPTH} levels"
+                )
+            remaining.append(children)
 
 
 # -- configuration ------------------------------------------------------------

@@ -399,10 +399,6 @@ class JxplainPipeline(Discoverer):
         with timer.stage("absorb"):
             state = JxplainState(self.config)
             state.absorb_bag(bag)
-            heuristics = None
-            if sample_bag is not None:
-                heuristics = JxplainState(self.config)
-                heuristics.absorb_bag(sample_bag)
         with timer.stage("synthesis"):
             (
                 schema,
@@ -410,7 +406,7 @@ class JxplainPipeline(Discoverer):
                 object_partitioners,
                 array_partitioners,
             ) = state.synthesize_result(
-                heuristics=heuristics, executor=dataset.executor
+                heuristics=sample_bag, executor=dataset.executor
             )
             if not self.use_fold:
                 schema = PipelineMerger(

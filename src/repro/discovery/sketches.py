@@ -91,6 +91,11 @@ DEFAULT_BLOOM_HASHES = 4
 #: Default HyperLogLog precision (2**8 = 256 one-byte registers).
 DEFAULT_HLL_PRECISION = 8
 
+#: Largest Bloom geometry accepted: bits (128 KiB) and probes per
+#: value.  Geometry also arrives from checkpoint bytes.
+MAX_BLOOM_BITS = 1 << 20
+MAX_BLOOM_HASHES = 64
+
 #: Largest |int| the codec's svarint can carry; bigger ints collapse
 #: to float at absorb time so the sketch always round-trips.
 _SVARINT_MAX = 2**62 - 1
@@ -290,12 +295,16 @@ class BloomMembershipSketch(Sketch):
         size: int = DEFAULT_BLOOM_BITS,
         hashes: int = DEFAULT_BLOOM_HASHES,
     ) -> None:
-        if size < 8 or size % 8:
+        if not 8 <= size <= MAX_BLOOM_BITS or size % 8:
             raise ValueError(
-                f"bloom size must be a positive multiple of 8, got {size}"
+                "bloom size must be a positive multiple of 8 up to "
+                f"{MAX_BLOOM_BITS}, got {size}"
             )
-        if hashes < 1:
-            raise ValueError(f"bloom hashes must be >= 1, got {hashes}")
+        if not 1 <= hashes <= MAX_BLOOM_HASHES:
+            raise ValueError(
+                f"bloom hashes must be in [1, {MAX_BLOOM_HASHES}], "
+                f"got {hashes}"
+            )
         self.size = size
         self.hashes = hashes
         self.bits = 0
@@ -631,20 +640,9 @@ class EnrichmentOptions:
                 "enrichment must enable at least one of "
                 f"{ENRICH_FEATURES}"
             )
-        if self.bloom_bits < 8 or self.bloom_bits % 8:
-            raise ValueError(
-                "bloom_bits must be a positive multiple of 8, got "
-                f"{self.bloom_bits}"
-            )
-        if self.bloom_hashes < 1:
-            raise ValueError(
-                f"bloom_hashes must be >= 1, got {self.bloom_hashes}"
-            )
-        if not 4 <= self.hll_precision <= 16:
-            raise ValueError(
-                f"hll_precision must be in [4, 16], got "
-                f"{self.hll_precision}"
-            )
+        # The sketch constructors own the geometry bounds.
+        BloomMembershipSketch(self.bloom_bits, self.bloom_hashes)
+        HLLCardinalitySketch(self.hll_precision)
         if self.union_value_cap < 2:
             raise ValueError(
                 f"union_value_cap must be >= 2, got {self.union_value_cap}"

@@ -35,7 +35,6 @@ from repro.discovery import codec
 from repro.discovery.codec import Decoder, Encoder
 from repro.discovery.config import EntityStrategy, JxplainConfig
 from repro.discovery.sketches import EnrichmentState, parse_enrich_spec
-from repro.discovery.stat_tree import StatTree
 from repro.engine.instrument import counters
 from repro.errors import CheckpointError, EmptyInputError, StateCodecError
 from repro.jsontypes.bag import CountedBag
@@ -189,7 +188,6 @@ class DiscoveryState:
         if cls is DiscoveryState:
             dec = Decoder(data)
             target = _state_class_for_kind(dec.kind)
-            dec = Decoder(data, expect_kind=STATE_KIND_PREFIX + target.algorithm)
         else:
             dec = Decoder(data, expect_kind=STATE_KIND_PREFIX + cls.algorithm)
             target = cls
@@ -229,7 +227,53 @@ class DiscoveryState:
         )
 
 
-class LReduceState(DiscoveryState):
+class BagState(DiscoveryState):
+    """A counted bag of record types: the whole sufficient statistic of
+    every algorithm that synthesizes from the bag (L-reduce, JXPLAIN).
+
+    Subclasses add synthesis, and any configuration, on top of the one
+    absorb/merge/codec implementation here.
+    """
+
+    def __init__(self) -> None:
+        self.bag = CountedBag()
+
+    def _empty_like(self) -> "BagState":
+        """An empty state that may merge with this one."""
+        return type(self)()
+
+    def absorb_type(self, tau: JsonType, count: int = 1) -> None:
+        self.bag.add(tau, count)
+
+    def merge(self, other: "DiscoveryState") -> "BagState":
+        self._check_mergeable(other)
+        merged = self._empty_like()
+        merged.bag = self.bag.merge(other.bag)
+        merged.enrichment = self._merge_enrichment(other)
+        return merged
+
+    @property
+    def record_count(self) -> int:
+        return self.bag.total
+
+    @property
+    def distinct_count(self) -> int:
+        return self.bag.distinct_count
+
+    def __contains__(self, tau: JsonType) -> bool:
+        return tau in self.bag
+
+    def _write_body(self, enc: Encoder) -> None:
+        codec.write_bag(enc, self.bag)
+
+    @classmethod
+    def _read_body(cls, dec: Decoder) -> "BagState":
+        state = cls()
+        state.bag = codec.read_bag(dec)
+        return state
+
+
+class LReduceState(BagState):
     """L-reduction's sufficient statistic: the bag of record types.
 
     Synthesis unions the exact schema of every distinct type, in
@@ -238,37 +282,10 @@ class LReduceState(DiscoveryState):
 
     algorithm = "l-reduce"
 
-    def __init__(self) -> None:
-        self.bag = CountedBag()
-
-    def absorb_type(self, tau: JsonType, count: int = 1) -> None:
-        self.bag.add(tau, count)
-
-    def merge(self, other: "DiscoveryState") -> "LReduceState":
-        self._check_mergeable(other)
-        merged = LReduceState()
-        merged.bag = self.bag.merge(other.bag)
-        merged.enrichment = self._merge_enrichment(other)
-        return merged
-
     def synthesize(self) -> Schema:
         if not self.bag:
             raise EmptyInputError("l-reduce state: no records absorbed")
         return union_of(exact_schema(tau) for tau in self.bag.distinct())
-
-    @property
-    def record_count(self) -> int:
-        return self.bag.total
-
-    def _write_body(self, enc: Encoder) -> None:
-        codec.write_bag(enc, self.bag)
-
-    @classmethod
-    def _read_body(cls, dec: Decoder) -> "LReduceState":
-        state = cls()
-        bag = codec.read_bag(dec)
-        state.bag = bag
-        return state
 
 
 class KReduceState(DiscoveryState):
@@ -336,15 +353,15 @@ class KReduceState(DiscoveryState):
         return state
 
 
-class JxplainState(DiscoveryState):
-    """JXPLAIN's sufficient statistics: type bag + pass-① stat tree.
+class JxplainState(BagState):
+    """JXPLAIN's sufficient statistic: the type bag, under a config.
 
-    The bag (with multiplicities) determines passes ② and ③ exactly —
-    the fold's combine is idempotent over identical types, and the
-    shape accumulator is a set union — while the stat tree carries the
-    entropy/similarity evidence pass ① needs with its true per-record
-    weights.  The tree is maintained *incrementally* on absorb, so
-    checkpointing never needs the original records.
+    The bag (with multiplicities) determines all three passes: pass ①
+    builds its stat tree from the bag's distinct types weighted by
+    their counts, pass ② reads the distinct types, and pass ③ folds
+    them (its combine is idempotent over identical types, and the shape
+    accumulator is a set union).  So absorb, merge and the wire format
+    carry the bag alone, and checkpointing never needs the records.
 
     Merging requires equal configurations: the heuristics' thresholds
     are part of what the state means.
@@ -353,33 +370,19 @@ class JxplainState(DiscoveryState):
     algorithm = "jxplain"
 
     def __init__(self, config: Optional[JxplainConfig] = None) -> None:
+        super().__init__()
         self.config = config or JxplainConfig()
         self.config.validate()
-        self.bag = CountedBag()
-        self.tree = StatTree(similarity_depth=self.config.similarity_depth)
 
-    def absorb_type(self, tau: JsonType, count: int = 1) -> None:
-        self.bag.add(tau, count)
-        self.tree.add(tau, count)
+    def _empty_like(self) -> "JxplainState":
+        return JxplainState(self.config)
 
-    def merge(self, other: "DiscoveryState") -> "JxplainState":
-        self._check_mergeable(other)
+    def _check_mergeable(self, other: "DiscoveryState") -> None:
+        super()._check_mergeable(other)
         if other.config != self.config:
             raise ValueError(
                 "cannot merge jxplain states with different configurations"
             )
-        merged = JxplainState(self.config)
-        merged.bag = self.bag.merge(other.bag)
-        merged.tree = self.tree.merge(other.tree)
-        merged.enrichment = self._merge_enrichment(other)
-        return merged
-
-    @property
-    def distinct_count(self) -> int:
-        return self.bag.distinct_count
-
-    def __contains__(self, tau: JsonType) -> bool:
-        return tau in self.bag
 
     def synthesize_result(self, *, heuristics=None, executor=None):
         """Run passes ①–③ over the statistics.
@@ -388,11 +391,12 @@ class JxplainState(DiscoveryState):
         array_partitioners)`` — everything
         :class:`~repro.discovery.pipeline.PipelineResult` needs.
 
-        ``heuristics`` is another :class:`JxplainState` (§4.2's
-        sampling mitigation: one built from a sample) whose statistics
-        passes ① and ② read in place of this state's; pass ③ always
-        folds this state's bag.  ``executor`` fans pass ②'s per-path
-        clustering out (:func:`~repro.discovery.pipeline.build_partitioners`).
+        ``heuristics`` is a :class:`~repro.jsontypes.bag.CountedBag`
+        (§4.2's sampling mitigation: one folded from a sample) that
+        passes ① and ② read in place of this state's bag; pass ③
+        always folds this state's bag.  ``executor`` fans pass ②'s
+        per-path clustering out
+        (:func:`~repro.discovery.pipeline.build_partitioners`).
         """
         from repro.discovery.fold import DecidedFolder, FoldNode
         from repro.discovery.pipeline import (
@@ -400,15 +404,20 @@ class JxplainState(DiscoveryState):
             TupleShapes,
             build_partitioners,
         )
-        from repro.discovery.stat_tree import decide_collections
+        from repro.discovery.stat_tree import StatTree, decide_collections
 
         if not self.bag:
             raise EmptyInputError("jxplain state: no records absorbed")
-        evidence = self if heuristics is None else heuristics
-        decisions = decide_collections(evidence.tree, self.config)
+        evidence = self.bag if heuristics is None else heuristics
+        tree = StatTree.from_types(
+            evidence.distinct(),
+            similarity_depth=self.config.similarity_depth,
+            counts=evidence.counts(),
+        )
+        decisions = decide_collections(tree, self.config)
         extractor = FeatureExtractor(decisions, self.config)
         shapes = TupleShapes()
-        for tau in evidence.bag.distinct():
+        for tau in evidence.distinct():
             shapes.add(tau, decisions, extractor)
         object_partitioners, array_partitioners = build_partitioners(
             shapes, self.config, executor=executor
@@ -433,20 +442,16 @@ class JxplainState(DiscoveryState):
     def synthesize(self) -> Schema:
         return self.synthesize_result()[0]
 
-    @property
-    def record_count(self) -> int:
-        return self.bag.total
-
     def _write_body(self, enc: Encoder) -> None:
         codec.write_config(enc, self.config)
-        codec.write_bag(enc, self.bag)
-        codec.write_stat_tree(enc, self.tree)
+        super()._write_body(enc)
 
     @classmethod
     def _read_body(cls, dec: Decoder) -> "JxplainState":
         state = cls(codec.read_config(dec))
         state.bag = codec.read_bag(dec)
-        state.tree = codec.read_stat_tree(dec)
+        if dec.version == 2:
+            codec.skip_v2_stat_tree(dec)
         return state
 
 

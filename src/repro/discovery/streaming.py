@@ -13,7 +13,7 @@ layer over the mergeable, serializable states of
 * :class:`StreamingJxplain` — JXPLAIN's heuristics need global
   statistics, so per-record exact streaming is impossible (that is
   §4.2's whole point).  Instead every record is absorbed into a
-  :class:`~repro.discovery.state.JxplainState` (bag + stat tree)
+  :class:`~repro.discovery.state.JxplainState` (config + type bag)
   continuously, and the schema is re-synthesized lazily — on demand,
   or whenever a configurable number of *novel* records (records the
   current schema rejects) accumulates.  At each synthesis point the

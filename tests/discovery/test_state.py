@@ -192,6 +192,34 @@ class TestSynthesisMatchesBatch:
         assert decisions == result.decisions
 
 
+class TestSynthesisSeams:
+    """``perfbench/tracing.py`` times passes ① and ② by patching these
+    two module attributes, so a JXPLAIN state's ``synthesize()`` must
+    look both up at call time."""
+
+    def test_synthesize_calls_the_patched_passes(self, monkeypatch):
+        import repro.discovery.pipeline as pipeline
+        import repro.discovery.stat_tree as stat_tree
+
+        calls = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(stat_tree, "decide_collections")
+        counting(pipeline, "build_partitioners")
+        state = state_for_algorithm("bimax-merge")
+        state.absorb_many(make_dataset("github").generate(40, seed=3))
+        state.synthesize()
+        assert calls == ["decide_collections", "build_partitioners"]
+
+
 class TestJxplainConfig:
     def test_merge_requires_equal_config(self):
         left = JxplainState(JxplainConfig())
