@@ -3,8 +3,9 @@
 Two questions, answered on seeded synthetic corpora:
 
 * **What do the sketches cost?**  Enriched discovery must read values
-  (the typed scan), so it forfeits the fused reader's structural-hash
-  shape cache — the honest price of value-domain enrichment.  A
+  (the typed reader: the fused reader's shape cache for types, plus a
+  stdlib decode of every line for its value) and feed them to the
+  sketches — the honest price of value-domain enrichment.  A
   github-style corpus (200k records at full scale) is discovered plain
   (fused scan, the fastest serial path) and enriched
   (``sketches,unions`` over the typed scan); the ratio is the
@@ -93,8 +94,8 @@ def test_enrichment_overhead_and_accuracy():
         plain_s = time.perf_counter() - start
 
         # -- enriched: the same call on an enriched state takes the
-        # typed scan (values must be materialized, so no shape cache —
-        # this IS the sketch overhead).
+        # typed reader (every value is decoded and fed to the
+        # sketches — this IS the enrichment overhead).
         start = time.perf_counter()
         rich = state_for_algorithm("jxplain", enrich=ENRICH)
         absorb_file(rich, path, ingest="fused", on_bad_record="raise")

@@ -51,6 +51,7 @@ import hashlib
 import math
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -133,6 +134,50 @@ def scalar_fingerprint(value: Scalar) -> bytes:
     return b"n:" + repr(int(value)).encode("ascii")
 
 
+def _collapse_int(value: int) -> Union[int, float]:
+    """An int as :class:`MinMaxSketch` stores it: itself inside the
+    svarint range, else the nearest float — past the float range, the
+    signed infinity that ``1e400`` already parses to."""
+    if -_SVARINT_MAX <= value <= _SVARINT_MAX:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _split_kinds(values) -> Dict[type, list]:
+    """A column's values grouped by exact type, in column order.  A
+    homogeneous column (the usual case) is its own single group."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        return {kinds.pop(): values}
+    return {
+        kind: [value for value in values if type(value) is kind]
+        for kind in kinds
+    }
+
+
+#: Unkeyed blake2b hashers that :func:`_digests` copies: a copy is
+#: cheaper than a constructor call with ``digest_size``, and gives the
+#: same digest.
+_BLAKE2B_16 = hashlib.blake2b(digest_size=16)
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
+
+
+def _digests(empty, fingerprints) -> bytes:
+    """The concatenated digests of ``fingerprints``, each hashed by a
+    copy of the ``empty`` hasher."""
+    copy = empty.copy
+    digests = []
+    append = digests.append
+    for fingerprint in fingerprints:
+        hasher = copy()
+        hasher.update(fingerprint)
+        append(hasher.digest())
+    return b"".join(digests)
+
+
 def _min_key(value):
     # Ties between an int and an equal float resolve to the int.
     return (value, 1 if isinstance(value, float) else 0)
@@ -205,8 +250,9 @@ class MinMaxSketch(Sketch):
     """Exact count/min/max of the numbers observed at a path.
 
     NaN is skipped (it has no order); ints beyond the svarint range
-    collapse to float; ``1 == 1.0`` ties canonically prefer the int so
-    absorb order never changes the stored object.
+    collapse to float (or to a signed infinity); ``1 == 1.0`` ties
+    canonically prefer the int so absorb order never changes the stored
+    object.
     """
 
     __slots__ = ("count", "minimum", "maximum")
@@ -222,32 +268,41 @@ class MinMaxSketch(Sketch):
         self.absorb_many((value,))
 
     def absorb_many(self, values) -> None:
-        """Absorb the numbers among ``values``; other scalars are skipped."""
-        kept = []
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            if isinstance(value, float):
-                if value != value:
+        """Absorb the numbers among ``values``; other scalars are skipped.
+
+        Each type's group contributes its own min and max; equal values
+        of one type encode alike, so only the int/float tie-break needs
+        the sort keys.
+        """
+        count = 0
+        ends = []
+        for kind, group in _split_kinds(values).items():
+            if issubclass(kind, float):
+                # -0.0 == 0.0 but encodes with its sign bit; without a
+                # canonical zero, min()/max() ties keep whichever sign
+                # arrived first and merge stops being byte-commutative.
+                group = [
+                    0.0 if value == 0.0 else value
+                    for value in group
+                    if value == value
+                ]
+                if not group:
                     continue
-                if value == 0.0:
-                    # -0.0 == 0.0 but encodes with its sign bit; without
-                    # a canonical zero, min()/max() ties keep whichever
-                    # sign arrived first and merge stops being
-                    # byte-commutative.
-                    value = 0.0
-            elif not -_SVARINT_MAX <= value <= _SVARINT_MAX:
-                value = float(value)
-            kept.append(value)
-        if not kept:
+                ends += (min(group), max(group))
+            elif issubclass(kind, int) and kind is not bool:
+                ends += (_collapse_int(min(group)), _collapse_int(max(group)))
+            else:
+                continue
+            count += len(group)
+        if not count:
             return
-        low = min(kept, key=_min_key)
-        high = max(kept, key=_max_key)
+        low = min(ends, key=_min_key)
+        high = max(ends, key=_max_key)
         if self.count == 0 or _min_key(low) < _min_key(self.minimum):
             self.minimum = low
         if self.count == 0 or _max_key(high) > _max_key(self.maximum):
             self.maximum = high
-        self.count += len(kept)
+        self.count += count
 
     def merge(self, other: "MinMaxSketch") -> "MinMaxSketch":
         merged = MinMaxSketch()
@@ -321,37 +376,37 @@ class BloomMembershipSketch(Sketch):
     def add_fingerprint(self, fingerprint: bytes) -> None:
         self.add_fingerprints((fingerprint,))
 
-    def add_fingerprints(self, fingerprints) -> None:
-        """Set the bits of every fingerprint; ``count`` adds them all.
+    def add_fingerprints(self, fingerprints, count=None) -> None:
+        """Set the bits of every fingerprint, and add ``count`` (by
+        default, how many fingerprints were passed) to :attr:`count`.
 
         Bits are idempotent, so each distinct fingerprint is hashed
         once.  The probes are :meth:`_indexes` reduced mod ``size``
-        term by term, which keeps the arithmetic on small ints.
+        step by step, which keeps the arithmetic on small ints; all
+        probes of the call form one set, OR-ed in as one int.
         """
         distinct = set(fingerprints)
         if distinct:
-            blake2b = hashlib.blake2b
-            words = struct.unpack(
-                f"<{2 * len(distinct)}Q",
-                b"".join([
-                    blake2b(fingerprint, digest_size=16).digest()
-                    for fingerprint in distinct
-                ]),
-            )
             size = self.size
-            hashes = self.hashes
-            indexes = set()
-            for h1, h2 in zip(words[::2], words[1::2]):
-                start = h1 % size
-                # Odd mod a multiple of 8 is odd, so the step is >= 1.
-                step = (h2 | 1) % size
-                for index in range(start, start + hashes * step, step):
-                    indexes.add(index % size)
-            mask = 0
+            words = struct.unpack(
+                f"<{2 * len(distinct)}Q", _digests(_BLAKE2B_16, distinct)
+            )
+            probes = [h1 % size for h1 in words[::2]]
+            # Odd mod a multiple of 8 is odd, so the step is >= 1.
+            steps = [(h2 | 1) % size for h2 in words[1::2]]
+            indexes = set(probes)
+            for _ in range(self.hashes - 1):
+                probes = [
+                    (probe + step) % size
+                    for probe, step in zip(probes, steps)
+                ]
+                indexes.update(probes)
+            # Binary digits, least significant first: digit i is bit i.
+            digits = bytearray(b"0") * size
             for index in indexes:
-                mask |= 1 << index
-            self.bits |= mask
-        self.count += len(fingerprints)
+                digits[index] = 0x31
+            self.bits |= int(digits[::-1], 2)
+        self.count += len(fingerprints) if count is None else count
 
     def absorb(self, value) -> None:
         self.add_fingerprint(scalar_fingerprint(value))
@@ -425,28 +480,24 @@ class HLLCardinalitySketch(Sketch):
     def add_fingerprint(self, fingerprint: bytes) -> None:
         self.add_fingerprints((fingerprint,))
 
-    def add_fingerprints(self, fingerprints) -> None:
-        """Raise the register of every fingerprint; ``count`` adds them
-        all.  The register maximum is idempotent, so each distinct
-        fingerprint is hashed once."""
+    def add_fingerprints(self, fingerprints, count=None) -> None:
+        """Raise the register of every fingerprint, and add ``count``
+        (by default, how many fingerprints were passed) to
+        :attr:`count`.  The register maximum is idempotent, so each
+        distinct fingerprint is hashed once."""
         distinct = set(fingerprints)
         if distinct:
-            blake2b = hashlib.blake2b
             width = 64 - self.precision
             low_bits = (1 << width) - 1
             registers = self.registers
             for value in struct.unpack(
-                f">{len(distinct)}Q",
-                b"".join([
-                    blake2b(fingerprint, digest_size=8).digest()
-                    for fingerprint in distinct
-                ]),
+                f">{len(distinct)}Q", _digests(_BLAKE2B_8, distinct)
             ):
                 index = value >> width
                 rank = width - (value & low_bits).bit_length() + 1
                 if rank > registers[index]:
                     registers[index] = rank
-        self.count += len(fingerprints)
+        self.count += len(fingerprints) if count is None else count
 
     def absorb(self, value) -> None:
         self.add_fingerprint(scalar_fingerprint(value))
@@ -510,14 +561,15 @@ FORMAT_PATTERNS: Tuple[Tuple[str, "re.Pattern"], ...] = (
     ("uri", re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://\S+\Z")),
 )
 
-# In FORMAT_PATTERNS order; StringFormatSketch.absorb_many counts in it.
-_DATE_TIME, _DATE, _TIME, _UUID, _EMAIL, _URI = (
-    pattern.match for _, pattern in FORMAT_PATTERNS
-)
-
-#: Every date-time, date, time and uuid starts with one of these; a
-#: string that does not is tried against none of the four patterns.
-_DIGIT_OR_HEX = frozenset("0123456789abcdefABCDEF")
+#: The four digit-led formats as one match: no string matches two of
+#: them (each is anchored at ``\Z`` with its separators at different
+#: fixed positions), so the alternation's ``lastindex`` is the one
+#: pattern that matched, in :data:`FORMAT_PATTERNS` order.
+_DIGIT_LED_FORMAT = re.compile(
+    "|".join(f"({pattern.pattern})" for _, pattern in FORMAT_PATTERNS[:4]),
+    re.ASCII,
+).match
+_EMAIL, _URI = (pattern.match for _, pattern in FORMAT_PATTERNS[4:])
 
 
 class StringFormatSketch(Sketch):
@@ -544,33 +596,29 @@ class StringFormatSketch(Sketch):
     def absorb_many(self, values) -> None:
         """Count the strings among ``values``; other scalars are skipped.
 
-        Each pattern runs only on strings that pass a necessary
-        condition for it (first character, ``@``, ``://``), so the
-        counts equal a match of every pattern against every string.
+        ``values`` may instead be a mapping of distinct strings to
+        their occurrences (a :class:`~collections.Counter`, as
+        :meth:`PathSketches.absorb_column` passes it); each distinct
+        string is then matched once.  The email and uri patterns run
+        only on strings that contain ``@`` or ``://``, so the counts
+        equal a match of every pattern against every string.
         """
-        total = date_time = date = clock = uuid = email = uri = 0
-        for value in values:
-            if not isinstance(value, str):
-                continue
-            total += 1
-            if value[:1] in _DIGIT_OR_HEX:
-                if _DATE_TIME(value):
-                    date_time += 1
-                if _DATE(value):
-                    date += 1
-                if _TIME(value):
-                    clock += 1
-                if _UUID(value):
-                    uuid += 1
+        if not isinstance(values, dict):
+            values = Counter(
+                [value for value in values if isinstance(value, str)]
+            )
+        # Match counts in FORMAT_PATTERNS order.
+        found = [0] * len(FORMAT_PATTERNS)
+        for match in filter(None, map(_DIGIT_LED_FORMAT, values)):
+            found[match.lastindex - 1] += values[match.string]
+        for value, count in values.items():
             if "@" in value and _EMAIL(value):
-                email += 1
+                found[-2] += count
             if "://" in value and _URI(value):
-                uri += 1
-        self.total += total
+                found[-1] += count
+        self.total += sum(values.values())
         counts = self.counts
-        for (format_name, _), count in zip(
-            FORMAT_PATTERNS, (date_time, date, clock, uuid, email, uri)
-        ):
+        for (format_name, _), count in zip(FORMAT_PATTERNS, found):
             if count:
                 counts[format_name] = counts.get(format_name, 0) + count
 
@@ -730,12 +778,29 @@ class PathSketches:
     def absorb_column(self, values) -> None:
         """Absorb every scalar observed at this path, in one call per
         sketch.  Each sketch is a commutative monoid, so this is the
-        same fold as absorbing the values one by one."""
-        fingerprints = [scalar_fingerprint(value) for value in values]
-        self.members.add_fingerprints(fingerprints)
-        self.cardinality.add_fingerprints(fingerprints)
-        self.numbers.absorb_many(values)
-        self.strings.absorb_many(values)
+        same fold as absorbing the values one by one.
+
+        The column is split by type once, and each distinct value is
+        fingerprinted once (each distinct string format-matched once).
+        """
+        fingerprints = set()
+        for kind, group in _split_kinds(values).items():
+            if issubclass(kind, str):
+                group = Counter(group)
+                self.strings.absorb_many(group)
+                fingerprints.update(
+                    [b"s" + value.encode("utf-8") for value in group]
+                )
+                continue
+            if kind is int:
+                # scalar_fingerprint of an int, without the call.
+                fingerprints.update(map(b"n:%d".__mod__, set(group)))
+            else:
+                fingerprints.update(map(scalar_fingerprint, set(group)))
+            if kind is not bool and issubclass(kind, (int, float)):
+                self.numbers.absorb_many(group)
+        self.members.add_fingerprints(fingerprints, len(values))
+        self.cardinality.add_fingerprints(fingerprints, len(values))
 
     def merge(self, other: "PathSketches") -> "PathSketches":
         return PathSketches.from_sketches(

@@ -32,37 +32,37 @@ error strings) is equal as well.  The pieces that guarantee it:
   :class:`~repro.errors.RecursionDepthError` *after* being counted —
   exactly when the classic consumer's ``absorb`` would have.
 
-The one intentional asymmetry: this reader yields **types**, not
-values, so it serves discovery (and anything else that is a function
-of types only); consumers that need the values keep the classic
-reader.
+This reader yields **types**, not values, so it serves discovery
+(and anything else that is a function of types only).  Its sibling
+:func:`read_jsonlines_typed` yields ``(type, value)`` pairs for the
+enrichment sketches, with the same shape cache: a hit takes the type
+from the cache and the value from the stdlib decoder.
 
 :func:`absorb_file` is the one way a file enters a discovery state:
-it picks this reader, its ``(type, value)`` sibling
-:func:`read_jsonlines_typed` (enriched states) or the classic reader.
+it picks the fused reader, the typed one (enriched states) or the
+classic reader.
 
 Counters (flushed once per file, not per line):
-``ingest.fused_records``, ``ingest.shape_hits``,
-``ingest.shape_misses``, ``ingest.bytes``, and the shared
-``ingest.bad_records``.
+``ingest.fused_records`` or ``ingest.typed_records``,
+``ingest.shape_hits``, ``ingest.shape_misses``, ``ingest.bytes``, and
+the shared ``ingest.bad_records``.
 """
 
 from __future__ import annotations
 
 import gzip
+import json
 import mmap
 from typing import Iterator, List, Optional, Tuple
 
-from repro.errors import DatasetError, RecursionDepthError
+from repro.errors import RecursionDepthError
 from repro.io.jsonlines import (
-    BAD_PAYLOAD_LIMIT,
-    BadRecord,
     IngestReport,
     PathLike,
     _BOM_BYTES,
+    _bad_line,
     _check_ingest_mode,
     _check_policy,
-    _note_bad_record,
     _open_binary,
     _seek_range_start,
     read_jsonlines,
@@ -73,8 +73,11 @@ from repro.jsontypes.tokenizer import (
     ShapeCache,
     UNSAFE_BYTES,
     depth_exceeds,
+    exceeds_int_digits,
+    int_digit_limit,
     scan_type,
     scan_typed,
+    structural_skeleton,
 )
 from repro.jsontypes.types import JsonType, MAX_DEPTH, type_of
 
@@ -166,10 +169,10 @@ def read_jsonlines_fused(
         report = IngestReport(path=str(path), policy=on_bad_record)
     else:
         report.policy = on_bad_record
-    keep_payload = on_bad_record == "collect"
     cache = shape_cache if shape_cache is not None else ShapeCache()
     cache_get = cache._table.get
     number_sub = NUMBER_RE.sub
+    digit_limit = int_digit_limit()
     hits = 0
     misses = 0
     records = 0
@@ -198,7 +201,11 @@ def read_jsonlines_fused(
             # tokenizer.structural_skeleton is the pinned reference
             # implementation this must match).
             skeleton = None
-            if len(stripped.translate(None, UNSAFE_BYTES)) == len(stripped):
+            size = len(stripped)
+            if len(stripped.translate(None, UNSAFE_BYTES)) == size and (
+                size <= digit_limit
+                or not exceeds_int_digits(stripped, digit_limit)
+            ):
                 parts = stripped.split(b'"')
                 if len(parts) % 2 == 1:
                     outs = parts[0::2]
@@ -221,25 +228,10 @@ def read_jsonlines_fused(
             try:
                 tau = scan_type(stripped.decode("utf-8"))
             except (ValueError, RecursionError) as exc:
-                if on_bad_record == "raise":
-                    raise DatasetError(
-                        f"{path}:{line_number}: invalid JSON: {exc}"
-                    ) from exc
-                report.bad_records.append(
-                    BadRecord(
-                        line_number=line_number,
-                        byte_offset=byte_offset - len(line),
-                        error=f"{type(exc).__name__}: {exc}",
-                        payload=(
-                            stripped.decode("utf-8", "replace")[
-                                :BAD_PAYLOAD_LIMIT
-                            ]
-                            if keep_payload
-                            else ""
-                        ),
-                    )
+                _bad_line(
+                    report, path, line_number, byte_offset - len(line),
+                    stripped, exc,
                 )
-                _note_bad_record()
                 continue
             if depth_exceeds(tau, MAX_DEPTH):
                 # The classic path counts the record at yield time and
@@ -259,17 +251,19 @@ def read_jsonlines_fused(
     finally:
         cache.hits += hits
         cache.misses += misses
-        _flush_counters(records, hits, misses, byte_offset - start)
+        _flush_counters("fused", records, hits, misses, byte_offset - start)
         if mapped is not None:
             mapped.close()
         handle.close()
 
 
-def _flush_counters(records: int, hits: int, misses: int, nbytes: int) -> None:
+def _flush_counters(
+    reader: str, records: int, hits: int, misses: int, nbytes: int
+) -> None:
     # One locked add per counter per file; never per line.
     from repro.engine.instrument import counters
 
-    counters.add("ingest.fused_records", records)
+    counters.add(f"ingest.{reader}_records", records)
     counters.add("ingest.shape_hits", hits)
     counters.add("ingest.shape_misses", misses)
     counters.add("ingest.bytes", nbytes)
@@ -286,25 +280,28 @@ def read_jsonlines_typed(
     """Stream ``(type, value)`` pairs of a ``.jsonl`` file in one pass.
 
     The enrichment sibling of :func:`read_jsonlines_fused`: the same
-    loop structure, policies, report accounting, ranged reads, and
-    error behaviour, but every record is parsed by the typed scanner
-    so the *value* survives alongside the interned type.  There is no
-    structural-hash fast path here — a cache hit skips parsing, and
-    enrichment sketches need the parsed values — so this reader costs
-    one full parse per line.  Most of an enriched run's extra time is
-    the sketch sidecar the values feed, not this parse.
+    policies, report accounting, ranged reads, error behaviour and
+    shape cache (a fresh one per call).  A line whose skeleton hits
+    takes its type from the cache and its value from the stdlib C
+    decoder, with no hooks; the skeleton's collision safety means that
+    decode cannot fail.  A miss parses with the typed scanner, which
+    builds the value and the type in one pass, and fills the cache.
 
     Yields the same types (the same interned objects) in the same
     order as the fused reader, with the same :class:`IngestReport`, so
     discovery over this reader is byte-identical to discovery over the
-    fused one.
+    fused one; each value is ``json.loads`` of its line.
     """
     _check_policy(on_bad_record)
     if report is None:
         report = IngestReport(path=str(path), policy=on_bad_record)
     else:
         report.policy = on_bad_record
-    keep_payload = on_bad_record == "collect"
+    cache = ShapeCache()
+    cache_get = cache._table.get
+    loads = json.JSONDecoder().decode
+    hits = 0
+    misses = 0
     records = 0
     byte_offset = start
     handle, mapped = open_line_source(path)
@@ -325,28 +322,23 @@ def read_jsonlines_typed(
             stripped = line.strip()
             if not stripped:
                 continue
+            skeleton = structural_skeleton(stripped)
+            if skeleton is not None:
+                tau = cache_get(skeleton)
+                if tau is not None:
+                    hits += 1
+                    records += 1
+                    report.record_count += 1
+                    # A skeleton line is ASCII.
+                    yield tau, loads(stripped.decode("ascii"))
+                    continue
             try:
                 tau, value = scan_typed(stripped.decode("utf-8"))
             except (ValueError, RecursionError) as exc:
-                if on_bad_record == "raise":
-                    raise DatasetError(
-                        f"{path}:{line_number}: invalid JSON: {exc}"
-                    ) from exc
-                report.bad_records.append(
-                    BadRecord(
-                        line_number=line_number,
-                        byte_offset=byte_offset - len(line),
-                        error=f"{type(exc).__name__}: {exc}",
-                        payload=(
-                            stripped.decode("utf-8", "replace")[
-                                :BAD_PAYLOAD_LIMIT
-                            ]
-                            if keep_payload
-                            else ""
-                        ),
-                    )
+                _bad_line(
+                    report, path, line_number, byte_offset - len(line),
+                    stripped, exc,
                 )
-                _note_bad_record()
                 continue
             if depth_exceeds(tau, MAX_DEPTH):
                 # Count first, then raise — the fused reader's exact
@@ -356,22 +348,17 @@ def read_jsonlines_typed(
                 raise RecursionDepthError(
                     "value exceeds maximum nesting depth"
                 )
+            misses += 1
             records += 1
             report.record_count += 1
+            if skeleton is not None:
+                cache.put(skeleton, tau)
             yield tau, value
     finally:
-        _flush_typed_counters(records, byte_offset - start)
+        _flush_counters("typed", records, hits, misses, byte_offset - start)
         if mapped is not None:
             mapped.close()
         handle.close()
-
-
-def _flush_typed_counters(records: int, nbytes: int) -> None:
-    # One locked add per counter per file; never per line.
-    from repro.engine.instrument import counters
-
-    counters.add("ingest.typed_records", records)
-    counters.add("ingest.bytes", nbytes)
 
 
 def ingest_jsonlines_fused(
@@ -445,7 +432,7 @@ def absorb_file(
         state.absorb_bag(CountedBag.from_types(types))
         return report
     # Sketches need the parsed values, so an enriched read yields
-    # (type, value) pairs and skips the shape cache.
+    # (type, value) pairs.
     if ingest == "fused":
         pairs = read_jsonlines_typed(path, **ranged)
     else:

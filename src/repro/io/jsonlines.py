@@ -243,7 +243,6 @@ def read_jsonlines(
         report = IngestReport(path=str(path), policy=on_bad_record)
     else:
         report.policy = on_bad_record
-    keep_payload = on_bad_record == "collect"
     byte_offset = start
     # Raw bytes in, one decode per line: offsets are sums of raw line
     # lengths (exact for multi-byte UTF-8 with no re-encoding), and a
@@ -266,31 +265,42 @@ def read_jsonlines(
             try:
                 value = json.loads(stripped.decode("utf-8"))
             except (ValueError, RecursionError) as exc:
-                if on_bad_record == "raise":
-                    raise DatasetError(
-                        f"{path}:{line_number}: invalid JSON: {exc}"
-                    ) from exc
-                report.bad_records.append(
-                    BadRecord(
-                        line_number=line_number,
-                        byte_offset=line_offset,
-                        error=f"{type(exc).__name__}: {exc}",
-                        payload=(
-                            stripped.decode("utf-8", "replace")[
-                                :BAD_PAYLOAD_LIMIT
-                            ]
-                            if keep_payload
-                            else ""
-                        ),
-                    )
+                _bad_line(
+                    report, path, line_number, line_offset, stripped, exc
                 )
-                _note_bad_record()
                 continue
             report.record_count += 1
             yield value
 
 
-def _note_bad_record() -> None:
+def _bad_line(
+    report: IngestReport,
+    path: PathLike,
+    line_number: int,
+    byte_offset: int,
+    stripped: bytes,
+    exc: Exception,
+) -> None:
+    """Apply ``report.policy`` to a line that failed to parse: raise a
+    :class:`DatasetError` under ``raise``, else record the line (with
+    its payload under ``collect``).  Every reader shares this, so their
+    error text and reports agree."""
+    if report.policy == "raise":
+        raise DatasetError(
+            f"{path}:{line_number}: invalid JSON: {exc}"
+        ) from exc
+    report.bad_records.append(
+        BadRecord(
+            line_number=line_number,
+            byte_offset=byte_offset,
+            error=f"{type(exc).__name__}: {exc}",
+            payload=(
+                stripped.decode("utf-8", "replace")[:BAD_PAYLOAD_LIMIT]
+                if report.policy == "collect"
+                else ""
+            ),
+        )
+    )
     # Lazy import: io must stay importable without the engine layer.
     from repro.engine.instrument import counters
 

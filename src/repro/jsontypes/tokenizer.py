@@ -49,6 +49,11 @@ Why the skeleton is collision-safe (each rule maps to a guard below):
   agree on everything outside strings up to valid-number spelling.
   Invalid almost-numbers (``00``, ``1.``, ``+5``) are *not* fully
   absorbed by the regex and stay distinct from every valid spelling.
+* An int literal longer than Python's int-parse limit
+  (``sys.get_int_max_str_digits()``) is malformed to ``json.loads``
+  but normalizes to ``0`` like any other, so a line holding a run of
+  more digits than the limit gets no skeleton.  Only a line longer
+  than the limit can hold one, so shorter lines skip the search.
 * Inside-string spans that are object keys (the following outside
   span starts with ``:`` after optional spaces) are kept verbatim;
   value-string contents are dropped.  Which positions are keys is
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from typing import Dict, Optional, Tuple
 
 from repro.jsontypes import types as _types
@@ -94,14 +100,33 @@ _SPAN_SEP = b"\x01"
 Skeleton = Tuple[bytes, Tuple[bytes, ...]]
 
 
+def int_digit_limit() -> int:
+    """The most digits an int literal may have for ``json.loads`` to
+    accept it (``sys.get_int_max_str_digits()``), or ``sys.maxsize``
+    where there is no limit."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return (get_limit() if get_limit is not None else 0) or sys.maxsize
+
+
+def exceeds_int_digits(line: bytes, limit: int) -> bool:
+    """Whether ``line`` holds a run of more than ``limit`` digits, as
+    an int literal ``json.loads`` refuses does.  Callers skip the call
+    for lines no longer than ``limit``, which cannot hold one."""
+    return re.search(rb"\d{%d}" % (limit + 1), line) is not None
+
+
 def structural_skeleton(line: bytes) -> Optional[Skeleton]:
     """The key-shape skeleton of one stripped JSON-lines line.
 
     Returns ``None`` when the line is not eligible (escapes, control
-    bytes, non-ASCII, unterminated string) — callers treat that as a
-    cache miss.  See the module docstring for the safety argument.
+    bytes, non-ASCII, unterminated string, a digit run past the
+    int-parse limit) — callers treat that as a cache miss.  See the
+    module docstring for the safety argument.
     """
     if len(line.translate(None, UNSAFE_BYTES)) != len(line):
+        return None
+    limit = int_digit_limit()
+    if len(line) > limit and exceeds_int_digits(line, limit):
         return None
     parts = line.split(b'"')
     if len(parts) % 2 == 0:
@@ -183,10 +208,24 @@ def _number_hook(_literal: str) -> JsonType:
     return NUMBER
 
 
+#: No int-parse limit can be set below this many digits, so shorter int
+#: literals never need ``int`` to check them.
+_INT_CHECK_THRESHOLD = getattr(
+    sys.int_info, "str_digits_check_threshold", sys.maxsize
+)
+
+
+def _int_hook(literal: str) -> JsonType:
+    if len(literal) > _INT_CHECK_THRESHOLD:
+        # Raises json.loads' own ValueError past the int-parse limit.
+        int(literal)
+    return NUMBER
+
+
 _DECODER = json.JSONDecoder(
     object_pairs_hook=_pairs_hook,
     parse_float=_number_hook,
-    parse_int=_number_hook,
+    parse_int=_int_hook,
     parse_constant=_number_hook,
 )
 
@@ -295,8 +334,8 @@ def scan_typed(text: str):
 
     The type is exactly ``scan_type(text)`` (same interned object);
     the value is exactly ``json.loads(text)``; errors match both.
-    There is no shape-cache fast path here — a cache hit skips the
-    parse, and the whole point is that enrichment needs the values.
+    This is the typed reader's miss path; a shape-cache hit takes the
+    cached type and decodes the value with ``json.loads``.
     """
     value, tau = _as_typed(_TYPED_DECODER.decode(text))
     return tau, value

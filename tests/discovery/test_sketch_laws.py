@@ -28,6 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.discovery import sketches
 from repro.discovery.sketches import (
+    DEFAULT_BLOOM_BITS,
+    DEFAULT_BLOOM_HASHES,
     BloomMembershipSketch,
     FORMAT_PATTERNS,
     DiscriminantAccumulator,
@@ -469,6 +471,80 @@ class TestColumnAbsorption:
         for format_name, pattern in FORMAT_PATTERNS:
             matched = sum(1 for value in strings if pattern.match(value))
             assert sketch.counts.get(format_name, 0) == matched
+
+    @given(value=st.one_of(
+        st.text(alphabet="0123456789abcdefABCDEF:-.+TtZz "),
+        st.uuids().map(str),
+        st.datetimes().map(datetime.isoformat),
+        st.dates().map(str),
+        st.times().map(str),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_digit_led_formats_match_as_one_alternation(self, value):
+        # No string matches two of the four digit-led patterns, so the
+        # alternation's matched group names the one pattern that does.
+        matched = [
+            index
+            for index, (_, pattern) in enumerate(FORMAT_PATTERNS[:4], 1)
+            if pattern.match(value)
+        ]
+        assert len(matched) <= 1
+        match = sketches._DIGIT_LED_FORMAT(value)
+        assert (match.lastindex if match else None) == (
+            matched[0] if matched else None
+        )
+
+    def test_ints_past_the_float_range_collapse_to_infinity(self):
+        huge = MinMaxSketch()
+        huge.absorb_many([10**400, 5, -(10**309)])
+        literal = MinMaxSketch()
+        literal.absorb_many([math.inf, 5, -math.inf])
+        assert (huge.minimum, huge.maximum) == (-math.inf, math.inf)
+        assert huge == literal
+        assert huge.to_bytes() == literal.to_bytes()
+
+    @given(values=st.lists(
+        st.one_of(
+            st.integers(min_value=-(10**400), max_value=10**400),
+            st.integers(min_value=-(2**70), max_value=2**70),
+            st.floats(allow_nan=True, allow_infinity=True),
+            scalars,
+        ),
+        max_size=30,
+    ), cut=st.integers(min_value=0, max_value=30))
+    @settings(max_examples=60, deadline=None)
+    def test_huge_ints_keep_the_minmax_laws(self, values, cut):
+        def collapse(value):
+            if -(2**62 - 1) <= value <= 2**62 - 1:
+                return value
+            try:
+                return float(value)
+            except OverflowError:
+                return math.inf if value > 0 else -math.inf
+
+        kept = [
+            value if isinstance(value, float) else collapse(value)
+            for value in values
+            if isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and value == value
+        ]
+        whole = MinMaxSketch()
+        whole.absorb_many(values)
+        assert whole.count == len(kept)
+        if kept:
+            assert (whole.minimum, whole.maximum) == (min(kept), max(kept))
+        halves = MinMaxSketch(), MinMaxSketch()
+        halves[0].absorb_many(values[:cut])
+        halves[1].absorb_many(values[cut:])
+        assert halves[0].merge(halves[1]).to_bytes() == whole.to_bytes()
+        assert MinMaxSketch.from_bytes(whole.to_bytes()) == whole
+        column = PathSketches(EnrichmentOptions())
+        column.absorb_column(values)
+        assert column.numbers == whole
+        assert column.members == _reference_bloom(
+            DEFAULT_BLOOM_BITS, DEFAULT_BLOOM_HASHES, values
+        )
 
     @given(values=scalar_lists)
     @settings(max_examples=60, deadline=None)

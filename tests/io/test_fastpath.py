@@ -20,14 +20,17 @@ from repro.io.fastpath import (
     absorb_file,
     ingest_jsonlines_fused,
     read_jsonlines_fused,
+    read_jsonlines_typed,
+    split_byte_ranges,
 )
 from repro.io.jsonlines import (
     IngestReport,
     ingest_jsonlines,
     load_jsonlines,
+    read_jsonlines,
 )
 from repro.jsontypes.tokenizer import ShapeCache
-from repro.jsontypes.types import type_of
+from repro.jsontypes.types import MAX_DEPTH, type_of
 
 #: Three lines: 2-byte-per-char Greek, a 4-byte emoji, then garbage.
 #: The garbage line's byte offset is the sum of the *byte* lengths of
@@ -220,9 +223,192 @@ def test_fused_counters_flush_once_per_file(tmp_path):
     from repro.engine.instrument import counters
 
     path = _write(tmp_path / "c.jsonl", ['{"a": 1}'] * 5)
-    before = counters.snapshot().get("ingest.fused_records", 0)
-    list(read_jsonlines_fused(path))
+    for reader, records in (
+        (read_jsonlines_fused, "ingest.fused_records"),
+        (read_jsonlines_typed, "ingest.typed_records"),
+    ):
+        before = counters.snapshot()
+        lines = iter(reader(path))
+        next(lines)
+        # Nothing is flushed while the file is being read ...
+        assert counters.snapshot() == before
+        list(lines)
+        after = counters.snapshot()
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        # ... and all of it once the file is done: one shape, four hits.
+        assert delta(records) == 5
+        assert delta("ingest.shape_misses") == 1
+        assert delta("ingest.shape_hits") == 4
+        assert delta("ingest.bytes") == path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# The typed reader: the fused reader's types, json.loads' values and the
+# classic reader's report, with cache hits decoded by the stdlib.
+# ---------------------------------------------------------------------------
+
+#: Repeated shapes with different values (cache hits), numbers the
+#: skeleton normalizes, non-ASCII text, escapes, duplicate keys, blank
+#: lines, garbage and a truncated line of a cached shape.
+TYPED_LINES = [
+    '{"id": 1, "name": "alpha", "tags": ["x", "y"], "ok": true}',
+    '{"id": 2, "name": "beta", "tags": ["z", "w"], "ok": true}',
+    '{"id": 4.5, "name": "", "tags": ["", "q"], "ok": true}',
+    '{"id": -0, "name": "d", "tags": ["1", "2"], "ok": true}',
+    '{"id": -0.0, "name": "e", "tags": ["a", "b"], "ok": true}',
+    '{"id": 1e400, "name": "f", "tags": ["c", "d"], "ok": true}',
+    '{"id": %d, "name": "g", "tags": ["e", "f"], "ok": true}' % 2**70,
+    '{"id": -%s, "name": "h", "tags": ["g", "h"], "ok": true}' % ("9" * 400),
+    "",
+    '{"id": NaN, "name": "i", "tags": ["i", "j"], "ok": true}',
+    '{"id": NaN, "name": "j", "tags": ["k", "l"], "ok": true}',
+    '{"id": Infinity, "name": "k", "tags": [], "ok": false}',
+    '{"id": -Infinity, "name": "l", "tags": [], "ok": false}',
+    '{"λ": "αβγ", "esc": "a\\"b\\u00e9\\n", "id": 3}',
+    '{"λ": "δεζ", "esc": "\\ud83c\\udf0d", "id": 4}',
+    "   ",
+    '{"dup": 1, "dup": "two", "k": null}',
+    '{"dup": 3, "dup": "four", "k": null}',
+    "garbage",
+    '{"id": 5, "name": "m", "tags": ["m", "n"], "ok": true',
+    "[1, 2, {\"a\": null}]",
+    "[3, 4, {\"a\": null}]",
+    '"just a string"',
+    "7",
+    '{"id": 6, "name": "n", "tags": ["o", "p"], "ok": true}',
+]
+
+
+def _classic_pairs(path, **kwargs):
+    for value in read_jsonlines(path, **kwargs):
+        yield type_of(value), value
+
+
+def _fused_pairs(path, **kwargs):
+    for tau in read_jsonlines_fused(path, **kwargs):
+        yield tau, None
+
+
+READERS = {
+    "classic": _classic_pairs,
+    "fused": _fused_pairs,
+    "typed": read_jsonlines_typed,
+}
+
+
+def _run(reader, path, policy, **ranged):
+    """(pairs, report, error text) of one read to its end or its
+    first error."""
+    report = IngestReport(path=str(path), policy=policy)
+    pairs = []
+    error = None
+    try:
+        for pair in READERS[reader](
+            path, on_bad_record=policy, report=report, **ranged
+        ):
+            pairs.append(pair)
+    except (DatasetError, RecursionDepthError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    return pairs, report, error
+
+
+def _assert_readers_agree(path, policy, **ranged):
+    classic, classic_report, classic_error = _run(
+        "classic", path, policy, **ranged
+    )
+    fused, fused_report, fused_error = _run("fused", path, policy, **ranged)
+    typed, typed_report, typed_error = _run("typed", path, policy, **ranged)
+    assert len(typed) == len(fused) == len(classic)
+    for (tau, value), (fused_tau, _), (classic_tau, classic_value) in zip(
+        typed, fused, classic
+    ):
+        assert tau is fused_tau is classic_tau
+        # repr tells 1 from 1.0 and -0.0 from 0.0, keeps key order and
+        # compares NaN; a line's value is json.loads of it.
+        assert repr(value) == repr(classic_value)
+    assert typed_report == fused_report == classic_report
+    assert typed_error == fused_error == classic_error
+    return typed_report, typed_error
+
+
+@pytest.mark.parametrize("policy", ["raise", "skip", "collect"])
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_typed_reader_agrees_with_fused_and_classic(
+    tmp_path, policy, compress
+):
+    suffix = ".jsonl.gz" if compress else ".jsonl"
+    path = _write(
+        tmp_path / f"typed{suffix}", TYPED_LINES, compress=compress, bom=True
+    )
+    report, error = _assert_readers_agree(path, policy)
+    if policy == "raise":
+        assert error.startswith(f"DatasetError: {path}:19: invalid JSON")
+    else:
+        assert error is None
+        assert report.bad_line_numbers() == [19, 20]
+        # Two blank lines and two bad ones.
+        assert report.record_count == len(TYPED_LINES) - 4
+
+
+def test_typed_reader_serves_repeated_shapes_from_the_cache(tmp_path):
+    from repro.engine.instrument import counters
+
+    path = _write(tmp_path / "hits.jsonl", TYPED_LINES)
+    before = counters.snapshot()
+    _assert_readers_agree(path, "skip")
     after = counters.snapshot()
-    assert after["ingest.fused_records"] - before == 5
-    assert after.get("ingest.shape_hits", 0) >= 4
-    assert after.get("ingest.bytes", 0) > 0
+    hits = after["ingest.shape_hits"] - before.get("ingest.shape_hits", 0)
+    # The fused and the typed reader: 11 hits each.
+    assert hits == 2 * 11
+
+
+@pytest.mark.parametrize("policy", ["raise", "skip", "collect"])
+def test_typed_reader_agrees_on_an_over_deep_record(tmp_path, policy):
+    deep = "[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1)
+    path = _write(tmp_path / "deep.jsonl", TYPED_LINES[:8] + [deep, "{}"])
+    report, error = _assert_readers_agree(path, policy)
+    assert error == (
+        "RecursionDepthError: value exceeds maximum nesting depth"
+    )
+    # Every reader counts the over-deep record before it raises.
+    assert report.record_count == 9
+
+
+@pytest.mark.parametrize("policy", ["raise", "skip", "collect"])
+def test_typed_reader_agrees_on_byte_ranges(tmp_path, policy):
+    path = _write(tmp_path / "ranged.jsonl", TYPED_LINES * 3)
+    ranges = split_byte_ranges(path, 4)
+    assert len(ranges) == 4
+    for start, end in ranges:
+        _assert_readers_agree(path, policy, start=start, end=end)
+
+
+#: One int literal past the default int-parse limit (4,300 digits).
+LONG_INT_LINE = '{"a": 1%s, "b": "x"}' % ("0" * 5000)
+
+
+@pytest.mark.parametrize("policy", ["raise", "skip", "collect"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "after"])
+def test_readers_agree_on_an_int_past_the_parse_limit(
+    tmp_path, policy, first
+):
+    # After a valid line of the same shape, the long line's skeleton
+    # would hit that line's cache entry if it were not refused one.
+    valid = '{"a": 5, "b": "y"}'
+    lines = [LONG_INT_LINE, valid] if first else [valid, LONG_INT_LINE]
+    path = _write(tmp_path / "long.jsonl", lines + [valid])
+    report, error = _assert_readers_agree(path, policy)
+    bad_line = 1 if first else 2
+    if policy == "raise":
+        assert error.startswith(
+            f"DatasetError: {path}:{bad_line}: invalid JSON: Exceeds the limit"
+        )
+    else:
+        assert report.bad_line_numbers() == [bad_line]
+        assert report.record_count == 2
+        assert report.bad_records[0].error.startswith(
+            "ValueError: Exceeds the limit (4300 digits)"
+        )

@@ -10,16 +10,19 @@ share a skeleton with a valid one it would shadow in the cache.
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets import make_dataset
 from repro.jsontypes.tokenizer import (
     DEFAULT_SHAPE_CACHE_SIZE,
     ShapeCache,
     depth_exceeds,
     line_token_count,
     scan_type,
+    scan_typed,
     structural_skeleton,
 )
 from repro.jsontypes.types import (
@@ -237,6 +240,123 @@ def test_equal_skeletons_imply_equal_types(first, second):
 def test_skeleton_is_deterministic(value):
     line = dumps(value).encode()
     assert structural_skeleton(line) == structural_skeleton(line)
+
+
+#: Real corpus lines that have a skeleton (ASCII, no escapes), and the
+#: type each skeleton caches.
+CORPUS_LINES = [
+    line
+    for name in ("github", "yelp-merged")
+    for line in (
+        json.dumps(record).encode()
+        for record in make_dataset(name).generate(60, seed=5)
+    )
+    if structural_skeleton(line) is not None
+]
+CACHED = {
+    structural_skeleton(line): scan_type(line.decode())
+    for line in CORPUS_LINES
+}
+
+#: Bytes a mutation writes: number and keyword spellings, structure,
+#: quotes, escapes, control bytes and non-ASCII.
+MUTATION_BYTES = st.sampled_from(
+    list(b'0123456789-+.eEtrufalsn aZ"\\:,{}[]')
+    + [0x00, 0x1F, 0x7F, 0xC3, 0xFF]
+)
+
+
+#: Where a mutation most often keeps a skeleton while it changes what
+#: the line parses to: in numbers, at quotes and around colons.
+INTERESTING_BYTES = frozenset(b'0123456789-."')
+
+
+@st.composite
+def mutated_lines(draw):
+    """A corpus line after one to three byte replacements, insertions
+    (also at either end), deletions or splices of a slice of another
+    corpus line, half of them at an :data:`INTERESTING_BYTES`
+    position."""
+    line = draw(st.sampled_from(CORPUS_LINES))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(
+            ["replace", "insert", "edge", "delete", "splice"]
+        ))
+        if kind == "edge":
+            byte = bytes([draw(MUTATION_BYTES)])
+            line = byte + line if draw(st.booleans()) else line + byte
+            continue
+        interesting = [
+            index
+            for index, byte in enumerate(line)
+            if byte in INTERESTING_BYTES
+        ]
+        start = draw(
+            st.sampled_from(interesting)
+            if interesting and draw(st.booleans())
+            else st.integers(min_value=0, max_value=len(line))
+        )
+        if kind == "replace":
+            byte = bytes([draw(MUTATION_BYTES)])
+            line = line[:start] + byte + line[start + 1:]
+        elif kind == "insert":
+            line = line[:start] + bytes([draw(MUTATION_BYTES)]) + line[start:]
+        elif kind == "delete":
+            stop = draw(st.integers(min_value=start, max_value=start + 8))
+            line = line[:start] + line[stop:]
+        else:
+            other = draw(st.sampled_from(CORPUS_LINES))
+            stop = draw(st.integers(min_value=start, max_value=len(line)))
+            low = draw(st.integers(min_value=0, max_value=len(other)))
+            high = draw(st.integers(min_value=low, max_value=len(other)))
+            line = line[:start] + other[low:high] + line[stop:]
+    return line
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutant=mutated_lines())
+def test_a_mutant_that_hits_a_cached_skeleton_parses_to_its_type(mutant):
+    """The collision-safety contract on mutated and spliced real lines:
+    a line whose skeleton is a cached one is valid JSON (the typed
+    reader decodes a hit with ``json.loads`` unchecked) of exactly the
+    cached type."""
+    cached = CACHED.get(structural_skeleton(mutant))
+    if cached is not None:
+        value = json.loads(mutant)
+        # Equal, not identical: other tests may clear the intern table
+        # after CACHED was built.
+        assert type_of(value) == cached
+        assert scan_typed(mutant.decode()) == (cached, value)
+
+
+def test_mutation_fuzz_reaches_cached_skeletons():
+    # The fuzz above proves something only if mutants do hit: a digit
+    # or string-content edit keeps the skeleton.
+    line = CORPUS_LINES[0]
+    at = line.index(b'"', line.index(b":")) + 1
+    edited = line[:at] + b"Q" + line[at + 1:]
+    assert len(CORPUS_LINES) > 60
+    assert structural_skeleton(edited) == structural_skeleton(line)
+
+
+def test_no_skeleton_for_an_int_past_the_parse_limit():
+    limit = sys.get_int_max_str_digits()
+    short = b'{"a": 1' + b"0" * (limit - 1) + b"}"
+    long = b'{"a": 1' + b"0" * limit + b"}"
+    assert structural_skeleton(short) == structural_skeleton(b'{"a": 5}')
+    assert structural_skeleton(long) is None
+    with pytest.raises(ValueError) as loads_error:
+        json.loads(long)
+    with pytest.raises(ValueError) as scan_error:
+        scan_type(long.decode())
+    assert str(scan_error.value) == str(loads_error.value)
+    # Without a limit, the long literal is an ordinary number.
+    sys.set_int_max_str_digits(0)
+    try:
+        assert structural_skeleton(long) == structural_skeleton(short)
+        assert scan_type(long.decode()) is type_of({"a": 1})
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_line_token_count():

@@ -1,6 +1,7 @@
 """Tests for the jxplain command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -120,6 +121,47 @@ class TestDiscoverFailures:
             assert code == expected, err
             if expected:
                 assert err.startswith("error: merge exceeded max_depth=128")
+
+
+    def test_int_past_the_parse_limit(self, tmp_path, capsys, route):
+        """An int literal of more digits than ``json.loads`` accepts is
+        a malformed line on every route, the fused reader's too."""
+        path = tmp_path / "long.jsonl"
+        path.write_text(
+            '{"a": 1}\n{"a": 1%s}\n{"a": 2}\n' % ("0" * 5000),
+            encoding="utf-8",
+        )
+        code = main(
+            ["discover", str(path), *_route_flags(route, tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:2: invalid JSON: Exceeds the limit (4300 digits)"
+        )
+
+
+@pytest.mark.parametrize(
+    "flags", [(), ("--shards", "2", "--workers", "2")],
+    ids=["serial", "sharded"],
+)
+def test_enriched_discover_takes_ints_past_the_float_range(
+    tmp_path, capsys, flags
+):
+    # 10**400 is a valid JSON int that no float holds; the min/max
+    # sketch stores it as +inf, as it stores the float literal 1e400.
+    path = tmp_path / "huge.jsonl"
+    path.write_text(
+        '{"a": 1%s}\n{"a": 5}\n{"a": -1%s}\n' % ("0" * 400, "0" * 320),
+        encoding="utf-8",
+    )
+    target = tmp_path / "schema.json"
+    code = main([
+        "discover", str(path), "--enrich", "sketches", "--format", "json",
+        "--output", str(target), *flags,
+    ])
+    assert code == 0, capsys.readouterr().err
+    field = json.loads(target.read_text())["properties"]["a"]
+    assert (field["minimum"], field["maximum"]) == (-math.inf, math.inf)
 
 
 class TestValidate:
