@@ -23,6 +23,8 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-versus-measured comparison of every table and figure.
 """
 
+import typing
+
 from repro.discovery import (
     Discoverer,
     EntityStrategy,
@@ -51,11 +53,28 @@ from repro.schema import (
     schema_to_markdown,
     to_json_schema,
 )
-from repro.validation import (
-    ValidationReport,
-    diff_schemas,
-    validate_records,
-)
+
+if typing.TYPE_CHECKING:
+    from repro.validation import (
+        ValidationReport,
+        diff_schemas,
+        validate_records,
+    )
+
+#: Served on first use (PEP 562): the CLI imports this package before
+#: every ``discover``, which never validates.
+_VALIDATION_NAMES = ("ValidationReport", "diff_schemas", "validate_records")
+
+
+def __getattr__(name: str):
+    if name not in _VALIDATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro import validation
+
+    value = getattr(validation, name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 

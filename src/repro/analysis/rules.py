@@ -639,6 +639,16 @@ _CODEC_PAIRS = (
 )
 
 
+def _is_type_checking_block(node: ast.stmt) -> bool:
+    """``if TYPE_CHECKING:`` (or ``typing.TYPE_CHECKING``)."""
+    if not isinstance(node, ast.If):
+        return False
+    test = node.test
+    if isinstance(test, ast.Attribute):
+        return test.attr == "TYPE_CHECKING"
+    return isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+
+
 @register_rule
 class RegistryCompletenessRule(Rule):
     rule_id = "R6"
@@ -688,7 +698,21 @@ class RegistryCompletenessRule(Rule):
         exported: List[str] = []
         bound: Set[str] = set()
         from_imported: Dict[str, ast.stmt] = {}
+        # PEP 562 lazy exports: a module-level __getattr__ serves the
+        # names that an ``if TYPE_CHECKING:`` block imports for static
+        # readers, so those count as bound.
+        lazy = any(
+            isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+            for node in ctx.tree.body
+        )
         for node in ctx.tree.body:
+            if lazy and _is_type_checking_block(node):
+                for inner in node.body:
+                    if isinstance(inner, ast.ImportFrom):
+                        bound.update(
+                            alias.asname or alias.name
+                            for alias in inner.names
+                        )
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):

@@ -24,7 +24,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.datasets import dataset_names, make_dataset
 from repro.discovery import EntityStrategy, discoverer_names, make_discoverer
 from repro.errors import ReproError
 from repro.io.jsonlines import (
@@ -40,7 +39,27 @@ from repro.schema import (
     schema_entropy,
     to_json_schema,
 )
-from repro.validation import first_failures, validate_records
+
+#: The names :func:`repro.datasets.dataset_names` lists, for the
+#: ``generate`` help text.  The parser is built on every call to
+#: :func:`main`, and importing the dataset generators would add their
+#: import to every ``discover``; a test pins this tuple to the registry.
+_DATASET_NAMES = (
+    "figure1",
+    "github",
+    "nyt",
+    "pharma",
+    "synapse",
+    "twitter",
+    "wikidata",
+    "yelp-business",
+    "yelp-checkin",
+    "yelp-merged",
+    "yelp-photos",
+    "yelp-review",
+    "yelp-tip",
+    "yelp-user",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "generate", help="materialize a synthetic dataset as JSON-lines"
     )
     generate.add_argument(
-        "dataset", help="one of: " + ", ".join(dataset_names())
+        "dataset", help="one of: " + ", ".join(_DATASET_NAMES)
     )
     generate.add_argument("output", help="path of the .jsonl file to write")
     generate.add_argument("--records", type=int, default=0)
@@ -353,9 +372,14 @@ def _emit_schema(schema, args: argparse.Namespace, state=None) -> None:
                         "key": decision.key,
                         "schema": tagged_union_json_schema(decision),
                     }
-        text = json.dumps(document, indent=2, sort_keys=True)
+        # allow_nan=False: a non-finite number is not JSON, so it
+        # fails the run instead of being written.
+        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
     else:
-        text = render(schema)
+        # A lone surrogate from an escaped "\ud800" key cannot be
+        # written as UTF-8; it prints as its escape.  Valid text keeps
+        # its bytes.
+        text = render(schema).encode("utf-8", "backslashreplace").decode()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -523,6 +547,8 @@ def _cmd_discover_stateful(
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.validation import first_failures, validate_records
+
     with open(args.schema, encoding="utf-8") as handle:
         schema = from_json_schema(json.load(handle))
     # Validation needs the values, so it always reads them classically.
@@ -689,6 +715,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.datasets import make_dataset
+
     generator = make_dataset(args.dataset)
     records = generator.generate(args.records, seed=args.seed)
     count = write_jsonlines(args.output, records)
@@ -751,6 +779,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "lint":
         return _cmd_lint(args)
     if args.command == "datasets":
+        from repro.datasets import dataset_names
+
         print("\n".join(dataset_names()))
         return 0
     if args.command == "algorithms":

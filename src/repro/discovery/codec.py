@@ -140,7 +140,9 @@ class _Writer:
         self._buf += struct.pack("<d", value)
 
     def string(self, value: str) -> None:
-        encoded = value.encode("utf-8")
+        # surrogatepass: json.loads admits a lone escaped surrogate
+        # ("\ud800"), which strict UTF-8 cannot encode.
+        encoded = value.encode("utf-8", "surrogatepass")
         self.uvarint(len(encoded))
         self._buf += encoded
 
@@ -196,7 +198,7 @@ class _Reader:
     def string(self) -> str:
         size = self.uvarint()
         try:
-            return self._take(size).decode("utf-8")
+            return self._take(size).decode("utf-8", "surrogatepass")
         except UnicodeDecodeError as exc:
             raise StateCodecError(f"malformed utf-8 string: {exc}") from None
 

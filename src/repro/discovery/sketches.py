@@ -113,7 +113,10 @@ def scalar_fingerprint(value: Scalar) -> bytes:
 
     Booleans are tagged apart from numbers, but ``1`` and ``1.0``
     fingerprint identically (int-valued floats collapse to the int
-    form) so membership matches Python/JSON equality.
+    form) so membership matches Python/JSON equality.  Strings encode
+    with ``surrogatepass``, so a lone escaped surrogate (``"\\ud800"``,
+    which ``json.loads`` admits) hashes instead of raising; every
+    valid string keeps its UTF-8 bytes.
     """
     if value is None:
         return b"z"
@@ -122,7 +125,7 @@ def scalar_fingerprint(value: Scalar) -> bytes:
     if value is False:
         return b"f"
     if isinstance(value, str):
-        return b"s" + value.encode("utf-8")
+        return b"s" + value.encode("utf-8", "surrogatepass")
     if isinstance(value, float):
         if value != value:
             return b"n:nan"
@@ -788,9 +791,10 @@ class PathSketches:
             if issubclass(kind, str):
                 group = Counter(group)
                 self.strings.absorb_many(group)
-                fingerprints.update(
-                    [b"s" + value.encode("utf-8") for value in group]
-                )
+                fingerprints.update([
+                    b"s" + value.encode("utf-8", "surrogatepass")
+                    for value in group
+                ])
                 continue
             if kind is int:
                 # scalar_fingerprint of an int, without the call.

@@ -19,16 +19,22 @@ multiplicities from a counted bag: the k-means++ seeding distribution,
 the Lloyd centroid means, and the inertia all weight by them, so a
 deduplicated bag clusters exactly like the duplicated corpus would.
 Unweighted calls are bit-for-bit the seed behaviour.
+
+numpy is imported inside the three functions that use it, so importing
+this module (as :mod:`repro.entities` and the JXPLAIN discoverer do)
+loads no numpy: only a run of the k-means baseline pays its import
+time and memory, which were half of a ``discover`` process's start-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.entities.keyset import KeySetUniverse, iter_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KeySet = FrozenSet[str]
 
@@ -67,6 +73,8 @@ def encode_key_sets(
     Vocabulary order sorts by ``repr`` so heterogeneous feature keys
     (strings, path tuples) order deterministically.
     """
+    import numpy as np
+
     if not key_sets:
         return np.zeros((0, 0), dtype=np.float64), ()
     universe = KeySetUniverse.from_key_sets(key_sets)
@@ -90,6 +98,8 @@ def _kmeans_pp_init(
     draw proportionally to record multiplicity (times squared
     distance), matching seeding over the duplicated corpus.
     """
+    import numpy as np
+
     count = matrix.shape[0]
     if weights is None:
         first = int(rng.integers(count))
@@ -119,6 +129,8 @@ def kmeans_key_sets(
     weights: Optional[Sequence[int]] = None,
 ) -> KMeansResult:
     """Cluster key-sets into ``k`` groups with Lloyd's algorithm."""
+    import numpy as np
+
     if k <= 0:
         raise ValueError("k must be positive")
     if not key_sets:

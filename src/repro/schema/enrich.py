@@ -19,6 +19,10 @@ the dominant-format sketch — plus two ``x-repro-`` extensions:
     false-positive rate, and the bit array base64-encoded — enough for
     a reader to answer "was this value ever observed here?".
 
+An infinite bound (from ``1e400`` or an int past the float range) is
+left out, as an absent bound already means unbounded, so the document
+stays JSON.
+
 Annotations are strictly additive: every keyword this module writes
 is ignored by :func:`~repro.schema.jsonschema.from_json_schema`, so
 ``from_json_schema(annotate_json_schema(doc, e)) ==
@@ -35,6 +39,7 @@ merge is exact, not an approximation of an approximation).
 from __future__ import annotations
 
 import base64
+import math
 from typing import Any, Dict, List, Optional
 
 from repro.discovery.sketches import EnrichmentState, PathSketches
@@ -110,8 +115,10 @@ def _annotate(
         return annotated
     if type_name == "number":
         if bundle.numbers.count:
-            annotated["minimum"] = bundle.numbers.minimum
-            annotated["maximum"] = bundle.numbers.maximum
+            for keyword in ("minimum", "maximum"):
+                bound = getattr(bundle.numbers, keyword)
+                if bound not in (math.inf, -math.inf):
+                    annotated[keyword] = bound
     elif type_name == "string":
         dominant = bundle.strings.dominant()
         if dominant is not None:

@@ -160,6 +160,27 @@ class TestR6RegistryCompleteness:
         assert "missing_name" in by_severity[Severity.ERROR].message
         assert "basename" in by_severity[Severity.WARNING].message
 
+    def test_pep562_lazy_exports_count_as_bound(self):
+        source = (
+            "import typing\n"
+            "if typing.TYPE_CHECKING:\n"
+            "    from os.path import join\n"
+            "def __getattr__(name):\n"
+            "    raise AttributeError(name)\n"
+            "__all__ = ['join', 'missing_name']\n"
+        )
+        path = "src/repro/discovery/__init__.py"
+        findings, _ = analyze_source(source, path)
+        assert [f.message for f in findings] == [
+            "__all__ exports 'missing_name' but the module never imports "
+            "or defines it"
+        ]
+        # Without a module __getattr__ nothing serves the name at run
+        # time, so a TYPE_CHECKING import binds nothing.
+        eager = source.replace("__getattr__", "getattr_")
+        findings, _ = analyze_source(eager, path)
+        assert len(findings) == 2
+
 
 class TestR7StageNameDiscipline:
     def fixture_facts(self):

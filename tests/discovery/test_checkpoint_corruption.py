@@ -24,6 +24,8 @@ from repro.discovery import DiscoveryState, JxplainConfig, state_for_algorithm
 from repro.discovery.codec import (
     MAX_SCHEMA_DEPTH,
     Encoder,
+    _Reader,
+    _Writer,
     dumps_schema,
     write_config,
 )
@@ -83,6 +85,21 @@ def test_cli_reports_a_corrupt_checkpoint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint")
     assert "Traceback" not in err
+
+
+def test_codec_strings_pass_lone_surrogates_and_reject_bad_utf8():
+    """A lone surrogate (which ``json.loads`` admits) round-trips as
+    the writer wrote it; any other invalid UTF-8 is a codec error."""
+    writer = _Writer()
+    for text in ("\ud800", "a\udfffb", "caf\u00e9"):
+        writer.string(text)
+    reader = _Reader(writer.getvalue())
+    assert [reader.string() for _ in range(3)] == [
+        "\ud800", "a\udfffb", "caf\u00e9"
+    ]
+    for bad in (b"\xff", b"\xc0\x80", b"\xe2\x82", b"\xf8\x88\x80\x80\x80"):
+        with pytest.raises(StateCodecError, match="malformed utf-8"):
+            _Reader(bytes([len(bad)]) + bad).string()
 
 
 def _with_crc(body: bytes) -> bytes:

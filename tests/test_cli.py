@@ -1,7 +1,6 @@
 """Tests for the jxplain command-line interface."""
 
 import json
-import math
 
 import pytest
 
@@ -140,15 +139,23 @@ class TestDiscoverFailures:
         )
 
 
+SHARDED_WORKERS = ("--shards", "2", "--workers", "2")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
 @pytest.mark.parametrize(
-    "flags", [(), ("--shards", "2", "--workers", "2")],
-    ids=["serial", "sharded"],
+    "flags", [(), SHARDED_WORKERS], ids=["serial", "sharded"],
 )
 def test_enriched_discover_takes_ints_past_the_float_range(
     tmp_path, capsys, flags
 ):
     # 10**400 is a valid JSON int that no float holds; the min/max
     # sketch stores it as +inf, as it stores the float literal 1e400.
+    # An infinite bound is left out of the document (absent means
+    # unbounded), so what is written stays JSON.
     path = tmp_path / "huge.jsonl"
     path.write_text(
         '{"a": 1%s}\n{"a": 5}\n{"a": -1%s}\n' % ("0" * 400, "0" * 320),
@@ -160,8 +167,51 @@ def test_enriched_discover_takes_ints_past_the_float_range(
         "--output", str(target), *flags,
     ])
     assert code == 0, capsys.readouterr().err
-    field = json.loads(target.read_text())["properties"]["a"]
-    assert (field["minimum"], field["maximum"]) == (-math.inf, math.inf)
+    document = json.loads(
+        target.read_text(), parse_constant=_reject_constant
+    )
+    field = document["properties"]["a"]
+    assert "minimum" not in field and "maximum" not in field
+    assert field["type"] == "number"
+
+
+@pytest.mark.parametrize(
+    ("line", "in_schema"),
+    [('{"s": "\\ud800"}', False), ('{"\\ud800": 1}', True)],
+    ids=["value", "key"],
+)
+def test_lone_surrogate_discovers_on_every_route(
+    tmp_path, capsys, line, in_schema
+):
+    """``json.loads`` admits a lone escaped surrogate; every route that
+    encodes strings (sketch fingerprints, the checkpoint codec) takes
+    it, and the plain routes print the same bytes."""
+    path = tmp_path / "surrogate.jsonl"
+    path.write_text(line + '\n{"b": 2}\n', encoding="utf-8")
+    checkpoint = str(tmp_path / "state.ckpt")
+
+    def run(name, *flags, source=(str(path),)):
+        target = tmp_path / f"{name}.json"
+        code = main([
+            "discover", *source, "--format", "json",
+            "--output", str(target), *flags,
+        ])
+        assert code == 0, (name, capsys.readouterr().err)
+        return target.read_bytes()
+
+    plain = run("plain")
+    assert run("checkpoint", "--checkpoint", checkpoint) == plain
+    assert run(
+        "resume", "--checkpoint", checkpoint, "--resume", source=()
+    ) == plain
+    assert run("sharded", *SHARDED_WORKERS) == plain
+    enriched = run("enriched", "--enrich", "sketches,unions")
+    assert run(
+        "enriched-sharded", "--enrich", "sketches,unions", *SHARDED_WORKERS
+    ) == enriched
+    # The text route prints an unencodable key as its escape.
+    assert main(["discover", str(path)]) == 0
+    assert ("\\ud800" in capsys.readouterr().out) == in_schema
 
 
 class TestValidate:
