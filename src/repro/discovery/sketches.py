@@ -527,9 +527,7 @@ class HLLCardinalitySketch(Sketch):
                 f"{self.precision} vs {other.precision}"
             )
         merged = HLLCardinalitySketch(self.precision)
-        merged.registers = bytearray(
-            max(a, b) for a, b in zip(self.registers, other.registers)
-        )
+        merged.registers = bytearray(map(max, self.registers, other.registers))
         merged.count = self.count + other.count
         return merged
 

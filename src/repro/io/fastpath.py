@@ -6,11 +6,15 @@ the three intermediate representations away.  :func:`read_jsonlines_fused`
 collapses it: raw line bytes (memory-mapped for plain files) go
 straight to an interned :class:`~repro.jsontypes.types.JsonType` via
 the :mod:`repro.jsontypes.tokenizer` scanner, with a structural-hash
-fast path in front: each eligible line's key-shape skeleton probes a
-bounded :class:`~repro.jsontypes.tokenizer.ShapeCache`, and a hit
-reuses the already-interned type without parsing at all.  On corpora
-with structural repetition — every corpus schema discovery is for —
-the cache absorbs ~99% of lines.
+fast path in front: each eligible line's key-shape skeleton
+(:meth:`~repro.jsontypes.tokenizer.ShapeCache.skeleton`, which both
+readers call) probes a bounded
+:class:`~repro.jsontypes.tokenizer.ShapeCache`, and a hit reuses the
+already-interned type without parsing at all.  A hit costs the
+skeleton's C-level string operations plus two dict lookups: the key
+positions of the line's structure, then the shape.  On corpora with
+structural repetition — every corpus schema discovery is for — the
+cache absorbs ~99% of lines.
 
 **Contract: byte-identical to the slow path.**  For any file and any
 ``on_bad_record`` policy, feeding this reader's types into a
@@ -69,15 +73,11 @@ from repro.io.jsonlines import (
 )
 from repro.jsontypes.bag import CountedBag
 from repro.jsontypes.tokenizer import (
-    NUMBER_RE,
     ShapeCache,
-    UNSAFE_BYTES,
     depth_exceeds,
-    exceeds_int_digits,
     int_digit_limit,
     scan_type,
     scan_typed,
-    structural_skeleton,
 )
 from repro.jsontypes.types import JsonType, MAX_DEPTH, type_of
 
@@ -170,9 +170,9 @@ def read_jsonlines_fused(
     else:
         report.policy = on_bad_record
     cache = shape_cache if shape_cache is not None else ShapeCache()
+    cache.digit_limit = int_digit_limit()
+    skeleton_of = cache.skeleton
     cache_get = cache._table.get
-    number_sub = NUMBER_RE.sub
-    digit_limit = int_digit_limit()
     hits = 0
     misses = 0
     records = 0
@@ -195,34 +195,19 @@ def read_jsonlines_fused(
             stripped = line.strip()
             if not stripped:
                 continue
-            # -- the structural-hash fast path (inlined skeleton:
-            # this loop is the benchmark's hot path, and a per-line
-            # function-call boundary costs ~15% of the win;
-            # tokenizer.structural_skeleton is the pinned reference
-            # implementation this must match).
-            skeleton = None
-            size = len(stripped)
-            if len(stripped.translate(None, UNSAFE_BYTES)) == size and (
-                size <= digit_limit
-                or not exceeds_int_digits(stripped, digit_limit)
-            ):
-                parts = stripped.split(b'"')
-                if len(parts) % 2 == 1:
-                    outs = parts[0::2]
-                    keys = tuple(
-                        span
-                        for span, nxt in zip(parts[1::2], outs[1:])
-                        if nxt[:1] == b":"
-                        or (nxt[:1] == b" " and nxt.lstrip()[:1] == b":")
-                    )
-                    skeleton = (number_sub(b"0", b"\x01".join(outs)), keys)
-                    tau = cache_get(skeleton)
-                    if tau is not None:
-                        hits += 1
-                        records += 1
-                        report.record_count += 1
-                        yield tau
-                        continue
+            # -- the structural-hash fast path, the hot loop of a
+            # default discover: on a repetitive corpus ~99% of lines end
+            # here, after the skeleton's key-position lookup and one
+            # shape lookup.
+            skeleton = skeleton_of(stripped)
+            if skeleton is not None:
+                tau = cache_get(skeleton)
+                if tau is not None:
+                    hits += 1
+                    records += 1
+                    report.record_count += 1
+                    yield tau
+                    continue
             # -- the scanner path (first occurrence of a shape, or a
             # line the skeleton refuses: escapes, non-ASCII, garbage).
             try:
@@ -298,6 +283,7 @@ def read_jsonlines_typed(
     else:
         report.policy = on_bad_record
     cache = ShapeCache()
+    skeleton_of = cache.skeleton
     cache_get = cache._table.get
     loads = json.JSONDecoder().decode
     hits = 0
@@ -322,7 +308,7 @@ def read_jsonlines_typed(
             stripped = line.strip()
             if not stripped:
                 continue
-            skeleton = structural_skeleton(stripped)
+            skeleton = skeleton_of(stripped)
             if skeleton is not None:
                 tau = cache_get(skeleton)
                 if tau is not None:

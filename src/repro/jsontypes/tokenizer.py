@@ -17,11 +17,12 @@ tokenizing, so error positions and messages are byte-for-byte those of
 ``json.loads`` — which is what keeps the fused reader's error channel
 identical to the classic one.
 
-**The structural skeleton** (:func:`structural_skeleton`) is the fast
-path over the scanner: a cheap, collision-safe summary of a line's
-*key shape* computed with a handful of C-level string operations (one
+**The structural skeleton** (:func:`structural_skeleton`, the
+reference; :meth:`ShapeCache.skeleton`, what the readers call) is the
+fast path over the scanner: a cheap, collision-safe summary of a line's
+*key shape* computed with a handful of C-level operations (one
 ``translate`` guard, one ``split`` on quotes, one number-normalizing
-regex).  Its contract is::
+regex, and a key pick by memoized positions).  Its contract is::
 
     skeleton(a) == skeleton(b)  and  both not None
         implies  scan_type(a) is scan_type(b)   (valid lines)
@@ -59,6 +60,14 @@ Why the skeleton is collision-safe (each rule maps to a guard below):
   value-string contents are dropped.  Which positions are keys is
   itself a function of the outside spans, which the skeleton already
   pins.
+* Which positions are keys is even a function of the *structure*, the
+  number-normalized outside text alone: no number literal begins with
+  ``:``, normalization only rewrites number literals (never a leading
+  space or a colon), and the guard admits no whitespace but the space
+  character, so "``:`` after optional spaces" reads the same before
+  and after normalization.  :meth:`ShapeCache.skeleton` therefore finds
+  the key positions once per structure and reuses them for every later
+  line with that structure.
 """
 
 from __future__ import annotations
@@ -89,8 +98,13 @@ from repro.jsontypes.types import (
 #: ``bytes.translate`` and comparing lengths is a single C scan.
 UNSAFE_BYTES = bytes(range(0x20)) + b"\\" + bytes(range(0x80, 0x100))
 
-#: Exactly the JSON number grammar (RFC 8259 §6), over bytes.
-NUMBER_RE = re.compile(rb"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
+#: Exactly the JSON number grammar (RFC 8259 §6), over bytes.  Every
+#: match starts at ``-`` or a digit; the lookahead says so, which lets
+#: the regex engine skip every other start position instead of trying
+#: the optional ``-?`` at each byte.
+NUMBER_RE = re.compile(
+    rb"(?=[-\d])-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?"
+)
 
 #: Joins outside-string spans in skeletons; cannot occur in a
 #: skeletonizable line (it is a control byte).
@@ -131,13 +145,20 @@ def structural_skeleton(line: bytes) -> Optional[Skeleton]:
     parts = line.split(b'"')
     if len(parts) % 2 == 0:
         return None
-    outs = parts[0::2]
-    keys = tuple(
-        span
-        for span, nxt in zip(parts[1::2], outs[1:])
-        if nxt[:1] == b":" or (nxt[:1] == b" " and nxt.lstrip()[:1] == b":")
+    keys = tuple(map(parts.__getitem__, _key_positions(parts)))
+    return NUMBER_RE.sub(b"0", _SPAN_SEP.join(parts[0::2])), keys
+
+
+def _key_positions(parts) -> Tuple[int, ...]:
+    """The indices in ``line.split(b'"')`` of the spans that are object
+    keys: inside-string spans (odd indices) whose following outside
+    span starts with ``:`` after optional spaces."""
+    return tuple(
+        index - 1
+        for index in range(2, len(parts), 2)
+        if parts[index][:1] == b":"
+        or (parts[index][:1] == b" " and parts[index].lstrip()[:1] == b":")
     )
-    return NUMBER_RE.sub(b"0", _SPAN_SEP.join(outs)), keys
 
 
 def line_token_count(line: bytes) -> int:
@@ -360,17 +381,22 @@ DEFAULT_SHAPE_CACHE_SIZE = 65536
 
 
 class ShapeCache:
-    """A bounded skeleton → interned-type map with eviction stats.
+    """A bounded skeleton → interned-type map with eviction stats, and
+    the skeleton function its readers probe it with.
 
     Eviction is deterministic insertion-order FIFO: when the bound is
     hit, the oldest-inserted shape is dropped.  Hits do not refresh
     recency — a hit needs no bookkeeping at all, which keeps the fast
-    path at one dict lookup — so the policy is a pure function of the
-    miss sequence.  Evicting is always safe: a dropped shape's next
-    occurrence re-parses and re-interns to the same type object.
+    path at two dict lookups (key positions, then the shape) — so the
+    policy is a pure function of the miss sequence.  Evicting is always
+    safe: a dropped shape's next occurrence re-parses and re-interns to
+    the same type object.
     """
 
-    __slots__ = ("max_size", "hits", "misses", "evictions", "_table")
+    __slots__ = (
+        "max_size", "hits", "misses", "evictions", "digit_limit",
+        "_table", "_key_positions",
+    )
 
     def __init__(self, max_size: int = DEFAULT_SHAPE_CACHE_SIZE):
         if max_size <= 0:
@@ -379,7 +405,41 @@ class ShapeCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: The int-parse limit :meth:`skeleton` guards against; a reader
+        #: re-reads it (:func:`int_digit_limit`) when it starts.
+        self.digit_limit = int_digit_limit()
         self._table: Dict[Skeleton, JsonType] = {}
+        # Structure → key positions in the line's quote split, bounded
+        # and evicted like the table.
+        self._key_positions: Dict[bytes, Tuple[int, ...]] = {}
+
+    def skeleton(self, line: bytes) -> Optional[Skeleton]:
+        """:func:`structural_skeleton` of ``line``, under
+        :attr:`digit_limit`.
+
+        Which quoted spans are keys is a function of the structure (see
+        the module docstring), so the positions are found once per
+        structure and each later line picks its keys out of its split
+        in one C-level call.
+        """
+        size = len(line)
+        if len(line.translate(None, UNSAFE_BYTES)) != size:
+            return None
+        limit = self.digit_limit
+        if size > limit and exceeds_int_digits(line, limit):
+            return None
+        parts = line.split(b'"')
+        if not len(parts) & 1:
+            return None
+        structure = NUMBER_RE.sub(b"0", _SPAN_SEP.join(parts[0::2]))
+        memo = self._key_positions
+        positions = memo.get(structure)
+        if positions is None:
+            positions = _key_positions(parts)
+            if len(memo) >= self.max_size:
+                del memo[next(iter(memo))]
+            memo[structure] = positions
+        return structure, tuple(map(parts.__getitem__, positions))
 
     def get(self, skeleton: Skeleton) -> Optional[JsonType]:
         return self._table.get(skeleton)

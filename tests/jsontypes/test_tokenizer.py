@@ -10,14 +10,17 @@ share a skeleton with a valid one it would shadow in the cache.
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datasets import make_dataset
+from repro.datasets import dataset_names, make_dataset
+from repro.io.fastpath import read_jsonlines_fused
 from repro.jsontypes.tokenizer import (
     DEFAULT_SHAPE_CACHE_SIZE,
+    NUMBER_RE,
     ShapeCache,
     depth_exceeds,
     line_token_count,
@@ -313,13 +316,22 @@ def mutated_lines(draw):
     return line
 
 
+#: One cache whose key-position memo every line below goes through:
+#: all dataset generators, the mutants and splices, and the hand cases.
+#: Its skeletons must equal the reference's whatever structures the
+#: memo has already seen.
+SHARED_CACHE = ShapeCache()
+
+
 @settings(max_examples=1000, deadline=None)
 @given(mutant=mutated_lines())
 def test_a_mutant_that_hits_a_cached_skeleton_parses_to_its_type(mutant):
     """The collision-safety contract on mutated and spliced real lines:
     a line whose skeleton is a cached one is valid JSON (the typed
     reader decodes a hit with ``json.loads`` unchecked) of exactly the
-    cached type."""
+    cached type.  The memoized skeleton equals the reference on every
+    mutant."""
+    assert SHARED_CACHE.skeleton(mutant) == structural_skeleton(mutant)
     cached = CACHED.get(structural_skeleton(mutant))
     if cached is not None:
         value = json.loads(mutant)
@@ -392,3 +404,122 @@ def test_shape_cache_rejects_nonpositive_bound():
     with pytest.raises(ValueError):
         ShapeCache(max_size=0)
     assert ShapeCache().max_size == DEFAULT_SHAPE_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# ShapeCache.skeleton: the memoized skeleton both readers call.
+# ---------------------------------------------------------------------------
+
+
+#: Lines that probe the key-position memo: one structure with different
+#: keys, a space before the colon, empty keys, value strings holding
+#: colons, escapes and non-ASCII (no skeleton), garbage, strings in
+#: key-like places, and an int literal past the parse limit (no skeleton).
+HAND_LINES = [
+    b'{"a": 1' + b"0" * sys.get_int_max_str_digits() + b"}",
+    b'{"a":1}',
+    b'{"b":2}',
+    b'{"a":1.5e3}',
+    b'{"k" :1}',
+    b'{"k"  : "v"}',
+    b'{"k": "v"}',
+    b'{"":1}',
+    b'{"":""}',
+    b'{"": {"": []}}',
+    b'{"a":"x:y"}',
+    b'{"a":":"}',
+    b'{"b":":"}',
+    b'{"a":" :"}',
+    b'[":", "a", {"b": ":"}]',
+    b'["a" :1]',
+    b'{"a" "b": 1}',
+    b'{"a":-0.5,"b":[1,"c",{"d":null}]}',
+    b'{"a":-1,"b":[2,"q",{"e":true}]}',
+    b'{"a": "x\\ny"}',
+    b'{"a": "h\\u00e9llo"}',
+    '{"é": 1}'.encode(),
+    b'{"a": "x\ty"}',
+    b'{"unterminated": "...',
+    b'"just a string"',
+    b"123",
+    b"-",
+    b"",
+]
+
+
+def test_memoized_skeleton_equals_the_reference_on_every_corpus_line():
+    for name in dataset_names():
+        for record in make_dataset(name).generate(30, seed=11):
+            for line in (
+                json.dumps(record).encode(),
+                json.dumps(record, separators=(",", ":")).encode(),
+            ):
+                assert SHARED_CACHE.skeleton(line) == structural_skeleton(line)
+    for line in HAND_LINES:
+        assert SHARED_CACHE.skeleton(line) == structural_skeleton(line)
+
+
+def test_memoized_skeleton_keeps_keys_per_line():
+    cache = ShapeCache()
+    first = cache.skeleton(b'{"a":1}')
+    second = cache.skeleton(b'{"b":2}')
+    assert first[0] == second[0]
+    assert (first[1], second[1]) == ((b"a",), (b"b",))
+    assert cache.skeleton(b'{"k" :1}')[1] == (b"k",)
+    assert cache.skeleton(b'{"":1}')[1] == (b"",)
+    assert cache.skeleton(b'{"a":"x:y","b":":"}')[1] == (b"a", b"b")
+    assert cache.skeleton(b'{"a": "x\\ny"}') is None
+    assert cache.skeleton('{"a": "héllo"}'.encode()) is None
+
+
+def test_memoized_skeleton_refuses_an_int_past_the_parse_limit():
+    limit = sys.get_int_max_str_digits()
+    long = b'{"a": 1' + b"0" * limit + b"}"
+    cache = ShapeCache()
+    assert cache.skeleton(b'{"a": 5}') == structural_skeleton(b'{"a": 5}')
+    assert cache.skeleton(long) is None
+    assert structural_skeleton(long) is None
+    # The limit is read when the cache is built (and by each reader
+    # when it starts), not on every line.
+    sys.set_int_max_str_digits(0)
+    try:
+        unlimited = ShapeCache()
+        assert unlimited.skeleton(long) == structural_skeleton(long)
+        assert unlimited.skeleton(long) == unlimited.skeleton(b'{"a": 5}')
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_key_position_memo_is_bounded_and_never_changes_a_type(tmp_path):
+    records = [
+        {f"k{index % 7}": list(range(index % 23)), "id": index}
+        for index in range(300)
+    ]
+    lines = [json.dumps(record).encode() for record in records]
+    cache = ShapeCache(max_size=4)
+    for line in lines:
+        assert cache.skeleton(line) == structural_skeleton(line)
+        assert len(cache._key_positions) <= 4
+    # A reader whose memo and table both evict still yields each
+    # line's own type.
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    small = ShapeCache(max_size=3)
+    types = list(read_jsonlines_fused(path, shape_cache=small))
+    assert types == [type_of(record) for record in records]
+    assert small.evictions > 0
+    assert len(small._key_positions) <= 3
+
+
+#: The RFC 8259 §6 number grammar as originally spelled, without the
+#: start-position lookahead.
+RFC_NUMBER_RE = re.compile(rb"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=st.text(alphabet="0123456789-+.eE :,x", max_size=40).map(str.encode)
+)
+def test_number_re_matches_the_rfc_grammar(text):
+    assert NUMBER_RE.sub(b"0", text) == RFC_NUMBER_RE.sub(b"0", text)
+    assert NUMBER_RE.findall(text) == RFC_NUMBER_RE.findall(text)

@@ -11,8 +11,10 @@ warning line included.
 
 The stateful routes (``--checkpoint``, ``--shards``) absorb every file
 into a discovery state and synthesize from it; their output must equal
-the plain route's too.  One pair is a known divergence, pinned as a
-strict xfail: see :data:`BIMAX_NAIVE_DIVERGENCE`.
+the plain route's too.  Two known divergences are pinned as strict
+xfails: ``bimax-naive`` on yelp-merged (:data:`BIMAX_NAIVE_DIVERGENCE`)
+and the k-means entity strategy on github and yelp-merged
+(:data:`KMEANS_DIVERGENCE`).
 """
 
 from __future__ import annotations
@@ -60,6 +62,16 @@ BIMAX_NAIVE_DIVERGENCE = (
 )
 
 
+#: Why ``--strategy kmeans`` differs between routes (ROADMAP F12).
+KMEANS_DIVERGENCE = (
+    "ROADMAP F12: the plain route runs Algorithm 4 (JxplainMerger), "
+    "which decides collection vs tuple inside each k-means entity, while "
+    "the stateful routes run passes 1-3 of "
+    "JxplainState.synthesize_result, whose pass 1 decides once per path "
+    "over all records"
+)
+
+
 def _route_cases():
     for corpus in CORPORA:
         for algorithm in ALGORITHMS:
@@ -69,24 +81,30 @@ def _route_cases():
                     strict=True, reason=BIMAX_NAIVE_DIVERGENCE
                 )
             yield pytest.param(
-                corpus, algorithm, marks=marks, id=f"{corpus}-{algorithm}"
+                corpus, ("--algorithm", algorithm), marks=marks,
+                id=f"{corpus}-{algorithm}",
             )
+        marks = ()
+        if corpus != "pharma":
+            marks = pytest.mark.xfail(strict=True, reason=KMEANS_DIVERGENCE)
+        yield pytest.param(
+            corpus, ("--strategy", "kmeans"), marks=marks,
+            id=f"{corpus}-kmeans",
+        )
 
 
 @pytest.mark.parametrize("route", ["checkpoint", "shards"])
-@pytest.mark.parametrize("corpus,algorithm", list(_route_cases()))
+@pytest.mark.parametrize("corpus,options", list(_route_cases()))
 def test_stateful_routes_equal_default(
-    corpora, tmp_path, capsys, corpus, algorithm, route
+    corpora, tmp_path, capsys, corpus, options, route
 ):
     flags = {
         "checkpoint": ("--checkpoint", str(tmp_path / "state.ckpt")),
         "shards": ("--shards", "2"),
     }[route]
-    default = _discover(
-        corpora[corpus], tmp_path, capsys, "--algorithm", algorithm
-    )
+    default = _discover(corpora[corpus], tmp_path, capsys, *options)
     assert default == _discover(
-        corpora[corpus], tmp_path, capsys, "--algorithm", algorithm, *flags
+        corpora[corpus], tmp_path, capsys, *options, *flags
     )
 
 
