@@ -16,7 +16,7 @@ exploits.  Three configurations run over the same corpora:
 
 * ``frozenset``       — the seed representation, serial;
 * ``bitset``          — interned integer masks, serial;
-* ``bitset+parallel`` — masks, paths fanned out on a process pool.
+* ``bitset+parallel`` — masks, paths fanned out on the process backend.
 
 Clusters must be byte-identical across all three (same maximals, same
 members, same emission order, same record assignments); the run fails

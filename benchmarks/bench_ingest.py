@@ -11,8 +11,8 @@ answer is provably the same.
 
 The small corpus is also pushed through ``JxplainPipeline.run_file``
 sharded on every executor backend, fused vs. classic, asserting
-byte-identical schemas — the end-to-end wiring check, and (with the
-process pool's warm-started workers) the scenario behind the BENCH_PR1
+byte-identical schemas — the end-to-end wiring check, and (on the
+process backend) the scenario behind the BENCH_PR1
 processes-slower-than-serial regression.
 
 Results go machine-readably to ``BENCH_PR6.json`` at the repo root and

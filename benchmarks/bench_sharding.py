@@ -3,8 +3,9 @@
 A seeded github-style corpus (1M records at full scale; see
 ``benchmarks/corpus.py``) is discovered four ways: by an *optimized
 serial* baseline — the fused sequential scan, i.e. the fastest
-single-process path this repo has — and by the shard coordinator over
-warm-started process pools of 2, 4, and 8 workers.  Before any timing,
+single-process path this repo has — and by the shard coordinator on
+the process backend at 2, 4, and 8 workers (forked children, one
+per slice of the shards).  Before any timing,
 sharded state bytes are asserted identical to the serial run for all
 three algorithms — the speedup is only meaningful because the answer
 is provably the same.
@@ -98,7 +99,7 @@ def test_sharded_scaling():
         )
 
         # -- correctness first: sharded bytes == serial bytes, all
-        # three algorithms, on a process pool.
+        # three algorithms, on the process backend.
         serial_states = {}
         serial_times = {}
         for algorithm in ALGORITHMS:

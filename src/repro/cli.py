@@ -159,8 +159,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     discover.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="with --shards: fan out over a process pool of N "
-        "workers (default: the REPRO_EXECUTOR backend)",
+        help="with --shards: run the shards in forked worker "
+        "processes, at most N at once (default: the REPRO_EXECUTOR "
+        "backend)",
     )
     discover.add_argument(
         "--merge-fanin", type=int, default=None, metavar="K",

@@ -527,7 +527,15 @@ class HLLCardinalitySketch(Sketch):
                 f"{self.precision} vs {other.precision}"
             )
         merged = HLLCardinalitySketch(self.precision)
-        merged.registers = bytearray(map(max, self.registers, other.registers))
+        mine, theirs = self.registers, other.registers
+        # The all-zero registers are the identity of the pointwise
+        # maximum: merging with an empty side is a copy.
+        if mine.count(0) == len(mine):
+            merged.registers = bytearray(theirs)
+        elif theirs.count(0) == len(theirs):
+            merged.registers = bytearray(mine)
+        else:
+            merged.registers = bytearray(map(max, mine, theirs))
         merged.count = self.count + other.count
         return merged
 
@@ -973,19 +981,34 @@ class KeyEvidence:
 
 
 class DiscriminantAccumulator:
-    """Root-level key → value → shape evidence for tagged unions."""
+    """Root-level key → value → shape evidence for tagged unions.
 
-    __slots__ = ("value_cap", "string_cap", "records", "keys")
+    ``observe`` takes each record's shape from its interned type when
+    the caller has one, through a memo of
+    :func:`~repro.discovery.tagged_unions.type_shape` per distinct
+    type; the memo is a cache, not part of the bytes or of equality.
+    """
+
+    __slots__ = ("value_cap", "string_cap", "records", "keys", "_shapes")
 
     def __init__(self, value_cap: int, string_cap: int) -> None:
         self.value_cap = value_cap
         self.string_cap = string_cap
         self.records = 0
         self.keys: Dict[str, KeyEvidence] = {}
+        self._shapes: Dict[object, Tuple[str, ...]] = {}
 
-    def observe(self, record: dict) -> None:
+    def observe(self, record: dict, tau=None) -> None:
+        """Absorb one record; ``tau``, when given, is its type."""
         self.records += 1
-        shape = record_shape(record)
+        if tau is None:
+            shape = record_shape(record)
+        else:
+            shape = self._shapes.get(tau)
+            if shape is None:
+                from repro.discovery.tagged_unions import type_shape
+
+                shape = self._shapes[tau] = type_shape(tau)
         for key, value in record.items():
             if not _admissible_discriminant(value, self.string_cap):
                 continue
@@ -1113,11 +1136,12 @@ class EnrichmentState:
     def empty_like(self) -> "EnrichmentState":
         return EnrichmentState(self.options)
 
-    def observe(self, value) -> None:
-        """Absorb one record's values (the record itself, not its type)."""
+    def observe(self, value, tau=None) -> None:
+        """Absorb one record's values; ``tau``, when the caller holds
+        it, is the record's type (it saves re-deriving the shape)."""
         self.record_count += 1
         if self.options.unions and isinstance(value, dict):
-            self.discriminants.observe(value)
+            self.discriminants.observe(value, tau)
         if not self.options.sketches:
             return
         pending = self._pending

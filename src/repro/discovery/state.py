@@ -86,7 +86,7 @@ class DiscoveryState:
         tau = type_of(value)
         self.absorb_type(tau)
         if self.enrichment is not None:
-            self.enrichment.observe(value)
+            self.enrichment.observe(value, tau)
 
     def absorb_typed(self, tau: JsonType, value: JsonValue) -> None:
         """Fold a pre-tokenized ``(type, value)`` pair.
@@ -97,7 +97,7 @@ class DiscoveryState:
         """
         self.absorb_type(tau)
         if self.enrichment is not None:
-            self.enrichment.observe(value)
+            self.enrichment.observe(value, tau)
 
     def absorb_type(self, tau: JsonType, count: int = 1) -> None:
         """Fold ``count`` records of type ``tau`` into the state."""

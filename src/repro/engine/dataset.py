@@ -18,7 +18,7 @@ read.
 
 Per-partition work is dispatched through a pluggable
 :class:`~repro.engine.executor.Executor` (serial, thread pool, or
-process pool), which every derived dataset inherits.  Scan counting is
+forked processes), which every derived dataset inherits.  Scan counting is
 executor-independent: the counter ticks once per traversal in the
 driver, never in workers, so pass counts stay exact under any backend.
 Partition lists are treated as immutable throughout — transformations

@@ -13,14 +13,19 @@ backends are provided:
   exercises every ordering hazard a real cluster has (partitions
   complete out of order) and wins when partition work is
   C-level-heavy.
-* :class:`ProcessExecutor` — a ``ProcessPoolExecutor``.  True
-  parallelism; requires picklable tasks.  Unpicklable closures (the
-  engine is often driven with lambdas) degrade gracefully to in-driver
-  serial execution, counted in
+* :class:`ProcessExecutor` — forked children, at most ``workers``
+  alive at once: a plain map forks one per contiguous slice of its
+  items (at most two slices per worker); a supervised map forks one
+  per task attempt.  True parallelism; a child inherits the driver's modules,
+  caches and its tasks by ``fork``, so only results are pickled (back
+  over a pipe).  Tasks must still be picklable:
+  unpicklable closures (the engine is often driven with lambdas)
+  degrade gracefully to in-driver serial execution, counted in
   ``repro.engine.instrument.counters`` under
   ``executor.process_fallbacks`` with the original pickling error
   preserved on the executor (``last_fallback_error``) and in its
-  ``repr`` so degraded runs are visible.
+  ``repr`` so degraded runs are visible.  A platform without
+  ``os.fork`` degrades the same way.
 
 Backends are value objects from the dataset's point of view: a
 ``LocalDataset`` holds one and threads it through every derived
@@ -36,15 +41,15 @@ Failure semantics
 A cluster loses workers; the local analogue must not lose runs.  An
 executor built with a :class:`RetryPolicy` (or wrapped via
 :meth:`Executor.with_retry`) runs every task through a supervision
-loop: per-attempt deadline (pooled backends), exponential backoff with
-deterministic seeded jitter between attempts, and — once retries are
-exhausted — an ``on_failure`` escalation chain of
+loop: per-attempt deadline (thread and process backends), exponential
+backoff with deterministic seeded jitter between attempts, and — once
+retries are exhausted — an ``on_failure`` escalation chain of
 ``retry → serial-fallback → skip``:
 
 * ``"raise"`` — re-raise the last error after the retries;
 * ``"serial"`` (default) — after retries, run the task once more in
-  the driver (rescues pool-level failures: broken pools, unpicklable
-  results); raise only if that also fails;
+  the driver (rescues worker-level failures: a child that died,
+  unpicklable results); raise only if that also fails;
 * ``"skip"`` — like ``"serial"``, but a task that still fails yields
   ``None`` in the result list instead of raising.
 
@@ -56,6 +61,12 @@ how the chaos suite asserts a fault plan was actually exercised.  The
 supervision loop is also where :mod:`repro.engine.faults` injects
 crashes, delays, and corrupt results — matching happens in the driver,
 execution in the worker.
+
+The process backend's deadline is enforced by ``SIGKILL``: an attempt
+still running when the driver has waited ``task_timeout`` for it is
+killed and reaped, and counted under ``executor.timeouts``.  No path
+out of :meth:`Executor.map_list` (a result, a task exception, a
+deadline, an interrupt) leaves a live or zombie child behind.
 """
 
 from __future__ import annotations
@@ -64,7 +75,10 @@ import atexit
 import os
 import pickle
 import random
+import select
+import signal
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, TypeVar
 
@@ -84,8 +98,10 @@ class RetryPolicy:
 
     #: Extra attempts after the first (``0`` disables retries).
     max_retries: int = 2
-    #: Per-attempt deadline in seconds for pooled backends.  ``None``
-    #: waits forever.  The serial backend cannot preempt a running
+    #: Per-attempt deadline in seconds, counted from when the driver
+    #: starts waiting on the attempt (thread and process backends; the
+    #: process backend times an attempt still queued then from its
+    #: start).  ``None`` waits forever.  The serial backend cannot preempt a running
     #: task, so it ignores the deadline (documented limitation).
     task_timeout: Optional[float] = None
     #: First backoff delay, in seconds.
@@ -209,8 +225,9 @@ class Executor:
         plan: Optional[faults.FaultPlan],
         stage: Optional[str],
     ) -> List[U]:
-        # First attempts all launch before any result is awaited, so
-        # pooled backends keep their fan-out even under supervision.
+        # First attempts are all submitted before any result is
+        # awaited, so parallel backends keep their fan-out even under
+        # supervision.
         handles = [
             self._submit_attempt(fn, item, self._select_fault(plan, stage, i, 0))
             for i, item in enumerate(items)
@@ -229,8 +246,6 @@ class Executor:
         return spec
 
     def _settle(self, fn, item, index, handle, plan, stage):
-        from concurrent.futures import TimeoutError as FutureTimeout
-
         policy = self._retry
         attempts = policy.attempts if policy is not None else 1
         timeout = policy.task_timeout if policy is not None else None
@@ -246,7 +261,7 @@ class Executor:
                 )
             try:
                 result = self._wait(handle, timeout)
-            except FutureTimeout as exc:
+            except TimeoutError as exc:
                 _counters().add("executor.timeouts")
                 last_error = EngineError(
                     f"task {index} exceeded its {timeout}s deadline"
@@ -279,7 +294,7 @@ class Executor:
         raise last_error  # type: ignore[misc]
 
     def close(self) -> None:
-        """Release any pooled workers (idempotent)."""
+        """Release any pooled threads or live children (idempotent)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} workers={self.workers}>"
@@ -310,8 +325,10 @@ def _default_workers(max_workers: Optional[int]) -> int:
     return max(2, os.cpu_count() or 1)
 
 
-class _PooledExecutor(Executor):
-    """Shared pool plumbing for the thread and process backends."""
+class ThreadExecutor(Executor):
+    """Thread-pool backend; partitions complete in arbitrary order."""
+
+    name = "threads"
 
     def __init__(
         self,
@@ -325,19 +342,29 @@ class _PooledExecutor(Executor):
     def workers(self) -> int:
         return _default_workers(self._max_workers)
 
-    def _make_pool(self):
-        raise NotImplementedError
-
     def _ensure_pool(self):
         if self._pool is None:
-            self._pool = self._make_pool()
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
         return self._pool
+
+    def _map_plain(self, fn: Callable[[T], U], items: Sequence[T]) -> List[U]:
+        if len(items) <= 1:
+            return [fn(item) for item in items]
+        return list(self._ensure_pool().map(fn, items))
 
     def _submit_attempt(self, fn, item, spec):
         return self._ensure_pool().submit(faults.run_with_fault, fn, item, spec)
 
     def _wait(self, handle, timeout: Optional[float]):
-        return handle.result(timeout)
+        from concurrent.futures import TimeoutError as FutureTimeout
+
+        try:
+            return handle.result(timeout)
+        except FutureTimeout as exc:
+            # The same class as the builtin from Python 3.11 on.
+            raise TimeoutError(str(exc)) from exc
 
     def close(self) -> None:
         if self._pool is not None:
@@ -345,46 +372,134 @@ class _PooledExecutor(Executor):
             self._pool = None
 
 
-class ThreadExecutor(_PooledExecutor):
-    """Thread-pool backend; partitions complete in arbitrary order."""
-
-    name = "threads"
-
-    def _make_pool(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def _map_plain(self, fn: Callable[[T], U], items: Sequence[T]) -> List[U]:
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        return list(self._ensure_pool().map(fn, items))
+class _Unsent(EngineError):
+    """A task's outcome could not cross back from its child."""
 
 
-def _warm_worker() -> None:
-    """Pool initializer: pre-import the hot modules in each worker.
+class _RemoteTraceback(Exception):
+    """A child's formatted traceback, chained as ``__cause__`` of the
+    exception it raised."""
 
-    The first task a fresh worker runs otherwise pays the full import
-    of the type system and the discovery codec *inside* the measured
-    region — on small inputs that import tax is most of the wall time
-    (the BENCH_PR1 processes-vs-serial regression at 4k records).
-    Importing here also re-creates each worker's intern pool and
-    primitive singletons before any task needs them.
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _describe(error: BaseException) -> str:
+    return f"{type(error).__name__}: {error}"
+
+
+def _message(ok: bool, value, trace: Optional[str]) -> bytes:
+    """``(ok, value, trace)`` pickled.  A value that cannot be pickled
+    is replaced by an :class:`_Unsent` error that says why, so the
+    driver reruns the task and meets the real result or exception."""
+    try:
+        return pickle.dumps((ok, value, trace), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        what = "result" if ok else f"exception ({type(value).__name__})"
+        stand_in = _Unsent(f"task {what} could not be pickled: {_describe(exc)}")
+        return pickle.dumps((False, stand_in, trace), pickle.HIGHEST_PROTOCOL)
+
+
+def _outcome(call, *args):
+    """Run ``call(*args)`` in a child: ``(ok, message)``."""
+    try:
+        return True, _message(True, call(*args), None)
+    except BaseException as exc:
+        import traceback
+
+        trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        return False, _message(False, exc, trace)
+
+
+def _decode(message: bytes):
+    """The result a child's ``message`` carries, or raise its error."""
+    try:
+        ok, value, trace = pickle.loads(message)
+    except Exception as exc:
+        raise _Unsent(
+            f"worker message could not be unpickled: {_describe(exc)}"
+        ) from exc
+    if ok:
+        return value
+    if trace is not None:
+        value.__cause__ = _RemoteTraceback(trace)
+    raise value
+
+
+def _attempt_body(fn, item, spec) -> bytes:
+    """A supervised attempt's child: one message."""
+    return _outcome(faults.run_with_fault, fn, item, spec)[1]
+
+
+#: A plain map cuts its items into at most this many contiguous slices
+#: per worker, one child each: the fork cost stays per map, not per
+#: item, and a worker whose slice ran fast takes the next one, so one
+#: slow slice idles the other workers for less of the tail.
+SLICES_PER_WORKER = 2
+
+
+def _slice_body(fn, items) -> bytes:
+    """A plain map's child: one message per item, in order, stopping
+    after the first item that raised."""
+    messages = []
+    for item in items:
+        ok, message = _outcome(fn, item)
+        messages.append(message)
+        if not ok:
+            break
+    return pickle.dumps(messages, pickle.HIGHEST_PROTOCOL)
+
+
+class _Child:
+    """One forked unit of work of :class:`ProcessExecutor`.
+
+    Pending until the driver forks it (``pid`` set), running while its
+    pipe is open (``fd`` set), done once the pipe hit EOF and the child
+    was reaped (``payload`` set: what it sent, ``b""`` if it died or
+    was killed first).
     """
-    import repro.discovery.codec  # noqa: F401
-    import repro.discovery.state  # noqa: F401
-    import repro.jsontypes.types  # noqa: F401
+
+    __slots__ = ("seq", "body", "pid", "fd", "chunks", "payload")
+
+    def __init__(self, seq: int, body: Callable[[], bytes]) -> None:
+        self.seq = seq
+        self.body: Optional[Callable[[], bytes]] = body
+        self.pid: Optional[int] = None
+        self.fd: Optional[int] = None
+        self.chunks: List[bytes] = []
+        self.payload: Optional[bytes] = None
 
 
-class ProcessExecutor(_PooledExecutor):
-    """Process-pool backend with graceful serial fallback.
+class ProcessExecutor(Executor):
+    """Fork-based backend with graceful serial fallback.
 
-    Tasks are pickled to the workers, so the function (and everything
-    it closes over) must be picklable; when it is not, the work runs
+    A plain map cuts its items into at most
+    :data:`SLICES_PER_WORKER` × :attr:`workers` contiguous slices and
+    forks one child per slice, which sends back one message per item;
+    per-process caches warm once per slice, not once per item.  A
+    supervised map forks one child per task attempt, so a deadline can
+    kill exactly that attempt.  At most :attr:`workers` children are
+    alive; a slice or attempt beyond that window starts as soon as any
+    running child ends.  A child inherits the function, its items
+    and every module the driver has loaded, so nothing is pickled on
+    the way out and no warm-up is needed; it sends back only pickled
+    results (or exceptions, with the child's traceback as
+    ``__cause__``) over a pipe and exits.  The driver reads every
+    running child's pipe as data arrives and reaps a child at EOF.
+
+    The function must still be picklable — the contract every backend
+    keeps, so that work which runs here would run on a real cluster.
+    When it is not, or the platform has no ``os.fork``, the work runs
     serially in the driver and ``executor.process_fallbacks`` is
     incremented — semantics never change, only the fan-out.  The
     triggering error is kept (:attr:`last_fallback_error`, also shown
-    in ``repr``) so a silently degraded run can be diagnosed.
+    in ``repr``) so a silently degraded run can be diagnosed.  A task
+    whose result or exception cannot be pickled, or whose child died
+    without sending it, is rerun in the driver (a plain map counts a
+    fallback; a supervised map counts a task failure and retries).
+
+    One executor runs one map at a time (a map nested in a task that
+    runs in the driver shares the window); it is not thread-safe.
     """
 
     name = "processes"
@@ -396,58 +511,202 @@ class ProcessExecutor(_PooledExecutor):
     ):
         super().__init__(max_workers, retry)
         self._last_fallback_error: Optional[str] = None
+        #: Started, not yet reaped children, oldest first.
+        self._running: List[_Child] = []
+        #: Submitted work waiting for a free slot, in start order.
+        self._pending: "deque[_Child]" = deque()
+        #: Children submitted so far; scopes each map's cleanup.
+        self._submitted = 0
+
+    @property
+    def workers(self) -> int:
+        return _default_workers(self._max_workers)
 
     @property
     def last_fallback_error(self) -> Optional[str]:
         """The most recent error that forced a serial fallback."""
         return self._last_fallback_error
 
-    def _make_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_warm_worker
-        )
-
     def _note_fallback(self, error: BaseException) -> None:
-        self._last_fallback_error = f"{type(error).__name__}: {error}"
+        self._last_fallback_error = _describe(error)
         _counters().add("executor.process_fallbacks")
 
-    def _fallback(self, fn, items, error: BaseException):
-        self._note_fallback(error)
-        return [fn(item) for item in items]
-
-    def _unpicklable(self, fn) -> Optional[BaseException]:
+    def _serial_reason(self, fn) -> Optional[BaseException]:
+        """Why ``fn`` cannot run in a child, or ``None`` if it can."""
+        if not hasattr(os, "fork"):
+            return EngineError("os.fork is not available on this platform")
         try:
             pickle.dumps(fn)
         except Exception as exc:
             return exc
         return None
 
+    # -- the children ---------------------------------------------------------
+
+    def _start(self, body: Callable[[], bytes]) -> _Child:
+        child = _Child(self._submitted, body)
+        self._submitted += 1
+        self._pending.append(child)
+        self._fill()
+        return child
+
+    def _fill(self) -> None:
+        """Fork pending children while the window has room."""
+        while self._pending and len(self._running) < self.workers:
+            self._fork(self._pending.popleft())
+
+    def _fork(self, child: _Child) -> None:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            # Every path out of the child is os._exit: nothing may
+            # unwind into the driver's stack copy, and the driver's
+            # atexit hooks and buffered output are not the child's.
+            try:
+                os.close(read_fd)
+                for sibling in self._running:
+                    os.close(sibling.fd)
+                # A map the task runs on this executor starts empty.
+                self._running, self._pending = [], deque()
+                payload = child.body()
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(payload)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        child.pid, child.fd, child.body = pid, read_fd, None
+        self._running.append(child)
+
+    def _reap(self, child: _Child, kill: bool = False) -> None:
+        if kill:
+            try:
+                os.kill(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        os.close(child.fd)
+        os.waitpid(child.pid, 0)
+        self._running.remove(child)
+        child.fd = None
+        child.payload = b"" if kill else b"".join(child.chunks)
+        child.chunks = []
+
+    def _pump(self, timeout: Optional[float]) -> None:
+        """Wait up to ``timeout`` seconds (``None``: until any running
+        child sends data or ends), read what arrived, and reap every
+        child whose pipe reached EOF, freeing its slot."""
+        poller = select.poll()
+        by_fd = {}
+        for child in self._running:
+            poller.register(child.fd, select.POLLIN)
+            by_fd[child.fd] = child
+        for fd, _ in poller.poll(None if timeout is None else 1000 * timeout):
+            child = by_fd[fd]
+            chunk = os.read(fd, 1 << 20)
+            if chunk:
+                child.chunks.append(chunk)
+            else:
+                self._reap(child)
+
+    def _collect(self, child: _Child, timeout: Optional[float]) -> bytes:
+        """What ``child`` sent, once it has ended.  If it runs for
+        ``timeout`` seconds after the driver starts waiting on it (or,
+        if it was still queued then, after it starts), kill it and
+        raise :class:`TimeoutError`."""
+        deadline = None
+        while child.payload is None:
+            self._fill()
+            if deadline is None and timeout is not None and child.pid is not None:
+                deadline = time.monotonic() + timeout
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self._reap(child, kill=True)
+                    raise TimeoutError(
+                        f"worker process exceeded its {timeout}s deadline"
+                    )
+            self._pump(remaining)
+        return child.payload
+
+    def _discard(self, since: int) -> None:
+        """Kill and reap the running children numbered ``since`` or
+        later, and drop their pending ones."""
+        for child in [c for c in self._running if c.seq >= since]:
+            self._reap(child, kill=True)
+        for child in self._pending:
+            if child.seq >= since:
+                child.payload = b""
+        self._pending = deque(c for c in self._pending if c.seq < since)
+
+    # -- mapping --------------------------------------------------------------
+
+    def _submit_attempt(self, fn, item, spec) -> _Child:
+        return self._start(lambda: _attempt_body(fn, item, spec))
+
+    def _wait(self, handle: _Child, timeout: Optional[float]):
+        payload = self._collect(handle, timeout)
+        if not payload:
+            raise _Unsent(f"worker process {handle.pid} exited without a result")
+        return _decode(payload)
+
     def _map_plain(self, fn: Callable[[T], U], items: Sequence[T]) -> List[U]:
         if len(items) <= 1:
             return [fn(item) for item in items]
-        pickling_error = self._unpicklable(fn)
-        if pickling_error is not None:
-            return self._fallback(fn, items, pickling_error)
+        reason = self._serial_reason(fn)
+        if reason is not None:
+            self._note_fallback(reason)
+            return [fn(item) for item in items]
+        size = -(-len(items) // (self.workers * SLICES_PER_WORKER))
+        starts = range(0, len(items), size)
+        since = self._submitted
         try:
-            return list(self._ensure_pool().map(fn, items))
-        except Exception as exc:
-            # A task that failed to round-trip (unpicklable argument or
-            # result, broken pool) must not poison the next call.
-            self.close()
-            return self._fallback(fn, items, exc)
+            children = [
+                self._start(lambda s=s: _slice_body(fn, items[s:s + size]))
+                for s in starts
+            ]
+            results = []
+            for start, child in zip(starts, children):
+                try:
+                    messages = pickle.loads(self._collect(child, None))
+                except (EOFError, pickle.UnpicklingError):
+                    messages = []  # it died mid-slice: rerun the rest below
+                for position, item in enumerate(items[start:start + size]):
+                    try:
+                        if position >= len(messages):
+                            raise _Unsent(
+                                f"worker process {child.pid} sent no result "
+                                f"for task {start + position}"
+                            )
+                        results.append(_decode(messages[position]))
+                    except _Unsent as exc:
+                        self._note_fallback(exc)
+                        results.append(fn(item))
+            return results
+        finally:
+            self._discard(since)
 
     def _map_supervised(self, fn, items, plan, stage):
-        # Unpicklable work cannot reach the pool at all: degrade to the
-        # serial backend's supervision (same retry/fault semantics,
-        # in-driver execution) and record why.
-        pickling_error = self._unpicklable(fn)
-        if pickling_error is not None:
-            self._note_fallback(pickling_error)
+        # Work that cannot reach a child degrades to the serial
+        # backend's supervision (same retry/fault semantics, in-driver
+        # execution) and records why.
+        reason = self._serial_reason(fn)
+        if reason is not None:
+            self._note_fallback(reason)
             rescue = SerialExecutor(retry=self._retry)
             return rescue._map_supervised(fn, items, plan, stage)
-        return super()._map_supervised(fn, items, plan, stage)
+        since = self._submitted
+        try:
+            return super()._map_supervised(fn, items, plan, stage)
+        finally:
+            self._discard(since)
+
+    def close(self) -> None:
+        self._discard(0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         degraded = (
@@ -527,9 +786,9 @@ def set_default_executor(spec) -> Executor:
 
 @atexit.register
 def _close_default_executor() -> None:
-    # Pool-backed defaults (e.g. REPRO_EXECUTOR=process) must shut
-    # down before the interpreter tears down module globals, or the
-    # pool's management thread dies noisily mid-cleanup.
+    # A thread-pool default must shut down before the interpreter
+    # tears down module globals, and a process default may still own
+    # children to reap.
     global _default_executor
     if _default_executor is not None:
         _default_executor.close()

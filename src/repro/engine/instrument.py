@@ -14,9 +14,11 @@ hits, similarity-cache hits, counted-merge distinct ratios — that the
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Tuple
@@ -27,14 +29,17 @@ class Counters:
 
     Thread-safe: the entity-discovery layer flushes aggregated counts
     from executor worker threads, so the read-modify-write in
-    :meth:`add` takes a lock.  Callers keep counters cheap by
-    accumulating locally and adding once per logical operation, not
-    once per event.
+    :meth:`add` takes a lock.  A forked child gets a fresh lock, since
+    another thread of the driver may hold the inherited one and no
+    thread of the child will ever release it.  Callers keep counters
+    cheap by accumulating locally and adding once per logical
+    operation, not once per event.
     """
 
     def __init__(self) -> None:
         self._values: Dict[str, float] = {}
         self._lock = threading.Lock()
+        _ALL_COUNTERS.add(self)
 
     def add(self, name: str, amount: float = 1) -> None:
         with self._lock:
@@ -61,6 +66,18 @@ class Counters:
         )
         return f"<Counters {body}>"
 
+
+#: Every live :class:`Counters`, for the fork hook below.
+_ALL_COUNTERS: "weakref.WeakSet[Counters]" = weakref.WeakSet()
+
+
+def _renew_locks_in_child() -> None:
+    for instance in _ALL_COUNTERS:
+        instance._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_locks_in_child)
 
 #: Process-wide engine counters (executor fallbacks, merge ratios, ...).
 counters = Counters()

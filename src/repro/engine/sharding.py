@@ -12,7 +12,9 @@ back.  This module removes the driver from the data path entirely:
   that cannot be range-split (gzip, empty) become one whole-file
   shard.
 * **Per-shard discovery** (:func:`_run_shard`, the picklable worker
-  body) runs in warm-started worker processes.  Each worker folds its
+  body) runs in children forked from the driver by the process
+  backend, so it starts with every module and cache the driver has
+  loaded and imports no pool stack.  Each worker folds its
   own byte range into a fresh state with
   :func:`~repro.io.fastpath.absorb_file` — the same call an unsharded
   run makes in the coordinating process — and ships back the state's
@@ -72,12 +74,12 @@ from repro.errors import CheckpointError, EngineError
 DEFAULT_MERGE_FANIN = 2
 
 #: Floor on bytes per shard when sizing shard counts adaptively.
-#: Below this, per-task dispatch (process pickle + queue hops)
-#: dominates the range's fold work.
+#: Below this, per-shard overhead (the partial's pickle back, its
+#: decode and merge) dominates the range's fold work.
 MIN_SHARD_BYTES = 1 << 18
 
 #: Adaptive shard counts target this many shards per worker, so a
-#: slow shard does not leave the rest of the pool idle at the tail.
+#: slow shard does not leave the other workers idle at the tail.
 SHARDS_PER_WORKER = 2
 
 #: Manifest file name inside a shard checkpoint directory.
@@ -150,7 +152,7 @@ def plan_shards(path, shards: Optional[int], workers: int) -> ShardPlan:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One shard's work order (picklable; crosses the pool boundary)."""
+    """One shard's work order (picklable, as every executor task is)."""
 
     index: int
     path: str
@@ -168,7 +170,7 @@ class ShardTask:
 
 @dataclass
 class ShardResult:
-    """One shard's outcome (picklable; returned from the pool)."""
+    """One shard's outcome (picklable; sent back from the worker)."""
 
     index: int
     #: The shard's serialized ``DiscoveryState`` (codec bytes).
@@ -358,7 +360,7 @@ class ShardRunResult:
 class ShardCoordinator:
     """Plans, dispatches, and merges a sharded discovery run.
 
-    The coordinator owns no pool of its own: it fans shard tasks out
+    The coordinator owns no workers of its own: it fans shard tasks out
     through a PR-1 :class:`~repro.engine.executor.Executor` (any
     backend, including supervised ones), which is what gives sharded
     runs retry/rescue and fault-injection for free.

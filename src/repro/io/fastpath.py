@@ -432,7 +432,7 @@ def absorb_file(
     observe = sidecar.observe
     for tau, value in pairs:
         add(tau)
-        observe(value)
+        observe(value, tau)
     state.absorb_bag(bag)
     state.enrichment = state.enrichment.merge(sidecar)
     return report

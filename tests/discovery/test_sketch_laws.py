@@ -47,7 +47,9 @@ from repro.discovery.sketches import (
     scalar_from_key,
     scalar_key,
 )
+from repro.datasets import dataset_names, make_dataset
 from repro.discovery.state import state_for_algorithm
+from repro.jsontypes.types import type_of
 from tests.conftest import json_values
 
 ALGORITHMS = ("l-reduce", "k-reduce", "jxplain")
@@ -115,6 +117,23 @@ class TestSketchMonoidLaws:
         # Equal sketches serialize to equal bytes — byte equality IS
         # state equality, in both directions.
         assert decoded.to_bytes() == sketch.to_bytes()
+
+
+class TestHLLEmptyMerge:
+    """All-zero registers are the identity, so that merge is a copy."""
+
+    @given(values=scalar_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_empty_side_copies_the_other(self, values):
+        sketch = _build(HLLCardinalitySketch, values)
+        empty = HLLCardinalitySketch.empty()
+        for merged in (sketch.merge(empty), empty.merge(sketch)):
+            assert merged.to_bytes() == sketch.to_bytes()
+            assert merged.registers is not sketch.registers
+            assert merged.registers is not empty.registers
+            before = (sketch.to_bytes(), empty.to_bytes())
+            merged.absorb("a value only the merged sketch has seen")
+            assert (sketch.to_bytes(), empty.to_bytes()) == before
 
 
 class TestSketchSemantics:
@@ -277,6 +296,19 @@ class TestDiscriminantEvidence:
             if isinstance(value, dict):
                 for child in value:
                     assert f"{key}.{child}" in shape
+
+
+@pytest.mark.parametrize("name", dataset_names())
+def test_observe_with_types_equals_without(name):
+    """Shapes taken from the interned types give the sidecar's bytes
+    that shapes taken from the records give."""
+    options = parse_enrich_spec("sketches,unions")
+    plain, typed = EnrichmentState(options), EnrichmentState(options)
+    for record in make_dataset(name).generate(120, seed=7):
+        plain.observe(record)
+        typed.observe(record, type_of(record))
+    assert typed.to_bytes() == plain.to_bytes()
+    assert typed == plain
 
 
 ENRICH_SPECS = ("sketches", "unions", "sketches,unions")

@@ -10,6 +10,10 @@ tests re-assert the paper's pass counts (K-reduce: 1; staged JXPLAIN:
 
 from __future__ import annotations
 
+import os
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -204,6 +208,253 @@ class TestProcessFallback:
         out = ds.map(lambda x: x + bound).collect()  # closure: unpicklable
         assert sorted(out) == [x + bound for x in range(10)]
         assert counters.get("executor.process_fallbacks") >= 1
+
+
+def _boom(x):
+    if x == 2:
+        raise ValueError(f"task {x} failed")
+    return x
+
+
+def _lock_for(x):
+    return threading.Lock()  # a result no pickle can carry
+
+
+def _sleepy(x):
+    if x == "slow":
+        time.sleep(30)
+    return x
+
+
+def _count_and_return(x):
+    counters.add("test.forked_adds")
+    return x
+
+
+class _LockedError(Exception):
+    """An exception no pickle can carry."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def _raise_locked(x):
+    if x == 2:
+        raise _LockedError(f"task {x} failed")
+    return x
+
+
+def _die_in_child(item):
+    driver_pid, x = item
+    if os.getpid() != driver_pid:
+        os._exit(1)
+    return x
+
+
+def _timed(item):
+    """Sleep if slow; leave ``start end`` (monotonic, system-wide on
+    Linux) in a file named after the task."""
+    name, directory = item
+    start = time.monotonic()
+    if name == 0:
+        time.sleep(1.5)
+    with open(os.path.join(directory, str(name)), "w") as out:
+        out.write(f"{start} {time.monotonic()}")
+    return name
+
+
+@pytest.fixture
+def forked_pids(monkeypatch):
+    """Pids of every child the process backend forks in the test."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_all_reaped(pids):
+    assert pids
+    for pid in pids:
+        # A live or zombie child would still be waitable.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestForkPerTask:
+    """One forked child per task: a bounded window, and no child
+    outlives ``map_list`` however it ends."""
+
+    def _record_alive_at_fork(self, executor, monkeypatch):
+        real_fork = os.fork
+        alive_at_fork = []
+
+        def counting_fork():
+            alive_at_fork.append(len(executor._running))
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return alive_at_fork
+
+    def test_plain_map_forks_one_child_per_slice(self, monkeypatch):
+        from repro.engine.executor import SLICES_PER_WORKER
+
+        executor = ProcessExecutor(2)
+        alive_at_fork = self._record_alive_at_fork(executor, monkeypatch)
+        assert executor.map_list(_double, list(range(25))) == [
+            2 * x for x in range(25)
+        ]
+        assert len(alive_at_fork) == 2 * SLICES_PER_WORKER
+        assert max(alive_at_fork) < executor.workers
+        alive_at_fork.clear()
+        assert ProcessExecutor(4).map_list(_double, [1, 2, 3]) == [2, 4, 6]
+        assert len(alive_at_fork) == 3
+
+    def test_supervised_window_never_exceeds_workers(self, monkeypatch):
+        from repro.engine import RetryPolicy
+
+        executor = ProcessExecutor(2, retry=RetryPolicy(max_retries=0))
+        alive_at_fork = self._record_alive_at_fork(executor, monkeypatch)
+        assert executor.map_list(_double, list(range(7))) == [
+            2 * x for x in range(7)
+        ]
+        assert len(alive_at_fork) == 7
+        assert max(alive_at_fork) < executor.workers
+
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_a_free_slot_refills_before_the_oldest_child_ends(
+        self, tmp_path, supervised
+    ):
+        from repro.engine import RetryPolicy
+
+        retry = RetryPolicy(max_retries=0) if supervised else None
+        executor = ProcessExecutor(2, retry=retry)
+        items = [(name, str(tmp_path)) for name in range(4)]
+        assert executor.map_list(_timed, items) == [0, 1, 2, 3]
+        spans = {
+            name: [float(t) for t in (tmp_path / str(name)).read_text().split()]
+            for name in range(4)
+        }
+        # Task 3 can only start once two children have ended; the slow
+        # task 0 (awaited first) must not hold its slot hostage.
+        assert spans[3][0] < spans[0][1]
+
+    def test_task_exception_reaches_the_driver(self, forked_pids):
+        executor = ProcessExecutor(2)
+        before = counters.get("executor.process_fallbacks")
+        with pytest.raises(ValueError, match="task 2 failed"):
+            executor.map_list(_boom, [0, 1, 2, 3, 4])
+        assert counters.get("executor.process_fallbacks") == before
+        _assert_all_reaped(forked_pids)
+
+    def test_unpicklable_result_falls_back_for_that_task(self, forked_pids):
+        executor = ProcessExecutor(2)
+        before = counters.get("executor.process_fallbacks")
+        results = executor.map_list(_lock_for, [1, 2, 3])
+        assert [type(r) for r in results] == [type(threading.Lock())] * 3
+        assert counters.get("executor.process_fallbacks") == before + 3
+        assert "pickle" in executor.last_fallback_error.lower()
+        _assert_all_reaped(forked_pids)
+
+    def test_task_exception_carries_the_child_traceback(self):
+        with pytest.raises(ValueError) as caught:
+            ProcessExecutor(2).map_list(_boom, [0, 1, 2, 3])
+        assert "in _boom" in str(caught.value.__cause__)
+
+    def test_unpicklable_exception_surfaces_the_real_one(self, forked_pids):
+        executor = ProcessExecutor(2)
+        before = counters.get("executor.process_fallbacks")
+        with pytest.raises(_LockedError, match="task 2 failed"):
+            executor.map_list(_raise_locked, [0, 1, 2, 3])
+        assert counters.get("executor.process_fallbacks") == before + 1
+        assert "could not be pickled" in executor.last_fallback_error
+        _assert_all_reaped(forked_pids)
+
+    def test_unpicklable_exception_is_retried_then_rescued(self):
+        from repro.engine import RetryPolicy
+
+        executor = ProcessExecutor(2, retry=RetryPolicy(max_retries=1))
+        before = counters.get("executor.serial_rescues")
+        with pytest.raises(_LockedError, match="task 2 failed"):
+            executor.map_list(_raise_locked, [0, 1, 2, 3])
+        assert counters.get("executor.serial_rescues") == before + 1
+
+    def test_child_that_dies_has_its_items_rerun(self, forked_pids):
+        executor = ProcessExecutor(2)
+        before = counters.get("executor.process_fallbacks")
+        items = [(os.getpid(), x) for x in range(5)]
+        assert executor.map_list(_die_in_child, items) == list(range(5))
+        assert counters.get("executor.process_fallbacks") == before + 5
+        assert "sent no result" in executor.last_fallback_error
+        _assert_all_reaped(forked_pids)
+
+    def test_timed_out_child_is_killed_and_reaped(self, forked_pids):
+        from repro.engine import RetryPolicy
+
+        policy = RetryPolicy(max_retries=0, task_timeout=0.2,
+                             on_failure="raise")
+        executor = ProcessExecutor(2, retry=policy)
+        before = counters.get("executor.timeouts")
+        start = time.monotonic()
+        with pytest.raises(EngineError, match="deadline"):
+            executor.map_list(_sleepy, ["fast", "slow", "later"])
+        assert time.monotonic() - start < 10
+        assert counters.get("executor.timeouts") == before + 1
+        _assert_all_reaped(forked_pids)
+        for pid in forked_pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_close_reaps_unfinished_children(self, forked_pids):
+        executor = ProcessExecutor(2)
+        executor._submit_attempt(_sleepy, "slow", None)
+        executor._submit_attempt(_sleepy, "slow", None)
+        executor._submit_attempt(_sleepy, "slow", None)
+        assert len(executor._running) == 2 and len(executor._pending) == 1
+        executor.close()
+        assert not executor._running and not executor._pending
+        _assert_all_reaped(forked_pids)
+
+    def test_missing_fork_falls_back_serially(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        executor = ProcessExecutor(2)
+        before = counters.get("executor.process_fallbacks")
+        assert executor.map_list(_double, [1, 2, 3]) == [2, 4, 6]
+        assert counters.get("executor.process_fallbacks") == before + 1
+        assert "fork" in executor.last_fallback_error
+
+    def test_child_never_inherits_a_held_counters_lock(self):
+        from repro.engine import RetryPolicy
+
+        held, release = threading.Event(), threading.Event()
+
+        def hold_the_lock():
+            # Holding the lock across a fork is the hazard under test.
+            with counters._lock:  # repro-lint: disable=R5
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold_the_lock)
+        holder.start()
+        try:
+            assert held.wait(10)
+            # The deadline turns a deadlocked child into a failure here
+            # instead of a hung suite.
+            policy = RetryPolicy(max_retries=0, task_timeout=10,
+                                 on_failure="raise")
+            executor = ProcessExecutor(2, retry=policy)
+            assert executor.map_list(_count_and_return, [1, 2]) == [1, 2]
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
 
 
 class TestResolution:

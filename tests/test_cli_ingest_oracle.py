@@ -11,10 +11,12 @@ warning line included.
 
 The stateful routes (``--checkpoint``, ``--shards``) absorb every file
 into a discovery state and synthesize from it; their output must equal
-the plain route's too.  Two known divergences are pinned as strict
-xfails: ``bimax-naive`` on yelp-merged (:data:`BIMAX_NAIVE_DIVERGENCE`)
-and the k-means entity strategy on github and yelp-merged
-(:data:`KMEANS_DIVERGENCE`).
+the plain route's too.  Known divergences are pinned as strict
+xfails: ``bimax-naive`` on yelp-merged (:data:`BIMAX_NAIVE_DIVERGENCE`),
+the k-means entity strategy on github and yelp-merged
+(:data:`KMEANS_DIVERGENCE`), and default ``bimax-merge`` on twitter
+(:data:`TWITTER_DIVERGENCE`), the one algorithm that corpus is
+checked with.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from repro.discovery import discoverer_names
 from repro.io.jsonlines import write_jsonlines
 
 CORPORA = ("github", "pharma", "yelp-merged")
+#: Checked on the stateful routes with default ``bimax-merge`` only.
+STATEFUL_ONLY_CORPORA = ("twitter",)
 ALGORITHMS = discoverer_names()
 RECORDS = 500
 
@@ -35,7 +39,7 @@ RECORDS = 500
 def corpora(tmp_path_factory):
     root = tmp_path_factory.mktemp("oracle")
     paths = {}
-    for seed, name in enumerate(CORPORA, start=1):
+    for seed, name in enumerate(CORPORA + STATEFUL_ONLY_CORPORA, start=1):
         path = root / f"{name}.jsonl"
         write_jsonlines(path, make_dataset(name).generate(RECORDS, seed=seed))
         paths[name] = path
@@ -72,6 +76,15 @@ KMEANS_DIVERGENCE = (
 )
 
 
+#: Why default ``bimax-merge`` on twitter differs between routes.
+TWITTER_DIVERGENCE = (
+    "ROADMAP F12: on twitter the plain route's Algorithm 4 "
+    "(JxplainMerger) makes entities.hashtags/urls/user_mentions tuples "
+    "where pass 1 of JxplainState.synthesize_result makes them "
+    "collections, and orders some anyOf branches differently"
+)
+
+
 def _route_cases():
     for corpus in CORPORA:
         for algorithm in ALGORITHMS:
@@ -91,6 +104,11 @@ def _route_cases():
             corpus, ("--strategy", "kmeans"), marks=marks,
             id=f"{corpus}-kmeans",
         )
+    yield pytest.param(
+        "twitter", ("--algorithm", "bimax-merge"),
+        marks=pytest.mark.xfail(strict=True, reason=TWITTER_DIVERGENCE),
+        id="twitter-bimax-merge",
+    )
 
 
 @pytest.mark.parametrize("route", ["checkpoint", "shards"])

@@ -3,8 +3,9 @@
 ``import repro.cli`` loads what a default ``discover`` runs and nothing
 else: numpy is only for the k-means baseline, the dataset generators
 only for ``generate``/``datasets``, validation only for ``validate``/
-``diff``, the analyzer only for ``lint``, and the process pool only for
-``--workers``.  Each check runs in a fresh interpreter, since this test
+``diff``, and the analyzer only for ``lint``; no route loads
+``multiprocessing`` or a process pool, since the process backend forks
+its own children.  Each check runs in a fresh interpreter, since this test
 process has imported all of them already.
 """
 
@@ -31,6 +32,7 @@ NOT_LOADED = (
     "repro.validation",
     "repro.analysis",
     "multiprocessing",
+    "concurrent.futures",
     "concurrent.futures.process",
 )
 
@@ -79,15 +81,13 @@ def test_default_discover_leaves_numpy_unloaded(github_corpus):
 
 
 def test_enriched_sharded_discover_leaves_numpy_unloaded(github_corpus):
+    # The process backend forks its children itself: a sharded run
+    # loads no pool stack either.
     loaded = _loaded_after(_discover(
         github_corpus, "--enrich", "sketches,unions",
         "--shards", "2", "--workers", "2",
     ))
-    pool = ("multiprocessing", "concurrent.futures.process")
-    assert all(loaded[name] for name in pool)
-    assert not any(
-        was for name, was in loaded.items() if name not in pool
-    ), loaded
+    assert not any(loaded.values()), loaded
 
 
 def test_kmeans_strategy_loads_numpy_on_demand(github_corpus):
