@@ -448,6 +448,12 @@ class BloomMembershipSketch(Sketch):
         return (self.size, self.hashes, self.bits, self.count)
 
 
+#: ``2.0 ** -rank`` for every value a one-byte register can hold, so
+#: an estimate sums table entries instead of computing 2**precision
+#: powers.
+_INV_POW2 = tuple(2.0 ** -rank for rank in range(256))
+
+
 def _hll_alpha(registers: int) -> float:
     if registers == 16:
         return 0.673
@@ -512,7 +518,7 @@ class HLLCardinalitySketch(Sketch):
             _hll_alpha(m)
             * m
             * m
-            / sum(2.0 ** -rank for rank in registers)
+            / sum(map(_INV_POW2.__getitem__, registers))
         )
         if raw <= 2.5 * m:
             zeros = registers.count(0)

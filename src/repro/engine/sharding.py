@@ -7,9 +7,9 @@ file, pickled record lists to workers, and got live Python objects
 back.  This module removes the driver from the data path entirely:
 
 * **Planning** (:func:`plan_shards`) splits the input into
-  newline-aligned byte ranges using the fused reader's mmap'd line
-  source — O(shards) ``find`` calls, no records materialized.  Files
-  that cannot be range-split (gzip, empty) become one whole-file
+  newline-aligned byte ranges with one ``seek`` and one ``readline``
+  per boundary, no records materialized.  Files that cannot be
+  range-split (gzip, empty, not seekable) become one whole-file
   shard.
 * **Per-shard discovery** (:func:`_run_shard`, the picklable worker
   body) runs in children forked from the driver by the process

@@ -4,7 +4,6 @@ bytes-to-type fast path, and sampling."""
 from repro.io.fastpath import (
     absorb_file,
     ingest_jsonlines_fused,
-    open_line_source,
     read_jsonlines_fused,
     split_byte_ranges,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "ingest_jsonlines_fused",
     "load_jsonlines",
     "merge_ingest_reports",
-    "open_line_source",
     "paper_protocol",
     "read_jsonlines",
     "read_jsonlines_fused",

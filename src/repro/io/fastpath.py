@@ -3,8 +3,8 @@
 The classic pipeline crosses the data three times per line — ``bytes →
 str → json.loads value tree → type_of → JsonType`` — and throws two of
 the three intermediate representations away.  :func:`read_jsonlines_fused`
-collapses it: raw line bytes (memory-mapped for plain files) go
-straight to an interned :class:`~repro.jsontypes.types.JsonType` via
+collapses it: raw line bytes go straight to an interned
+:class:`~repro.jsontypes.types.JsonType` via
 the :mod:`repro.jsontypes.tokenizer` scanner, with a structural-hash
 fast path in front: each eligible line's key-shape skeleton
 (:meth:`~repro.jsontypes.tokenizer.ShapeCache.skeleton`, which both
@@ -44,7 +44,9 @@ from the cache and the value from the stdlib decoder.
 
 :func:`absorb_file` is the one way a file enters a discovery state:
 it picks the fused reader, the typed one (enriched states) or the
-classic reader.
+classic reader.  All three read the same buffered stream
+(:func:`~repro.io.jsonlines._open_binary`), so a read holds one buffer
+and one line at a time, and its memory does not grow with the file.
 
 Counters (flushed once per file, not per line):
 ``ingest.fused_records`` or ``ingest.typed_records``,
@@ -55,8 +57,8 @@ the shared ``ingest.bad_records``.
 from __future__ import annotations
 
 import gzip
+import io
 import json
-import mmap
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import RecursionDepthError
@@ -82,49 +84,25 @@ from repro.jsontypes.tokenizer import (
 from repro.jsontypes.types import JsonType, MAX_DEPTH, type_of
 
 
-def open_line_source(path: PathLike):
-    """Binary line source for ``path``: an mmap when possible.
-
-    Plain files are memory-mapped (read-only) so line iteration walks
-    the page cache without a userspace buffer copy; gzip and empty
-    files fall back to the buffered binary stream.  Returns
-    ``(handle, mapped)`` where ``mapped`` is ``None`` on fallback;
-    the caller owns both and must close them.
-    """
-    handle = _open_binary(path)
-    if isinstance(handle, gzip.GzipFile):
-        # A GzipFile's fileno() is the *compressed* file's descriptor;
-        # mapping it would read raw deflate bytes.  Stream instead.
-        return handle, None
-    try:
-        fileno = handle.fileno()
-        mapped = mmap.mmap(fileno, 0, access=mmap.ACCESS_READ)
-    except (OSError, ValueError, AttributeError):
-        # Empty files cannot be mapped; pipes and other unmappable
-        # handles fall back too.  The buffered stream is equivalent.
-        return handle, None
-    return handle, mapped
-
-
 def split_byte_ranges(path: PathLike, shards: int):
     """Newline-aligned byte ranges covering ``path``, or ``None``.
 
     Divides the file into at most ``shards`` contiguous ranges whose
     boundaries sit just after a newline, so every range starts at a
-    line start and the ranges partition the file exactly — computed
-    from the mmap'd line source in O(shards) ``find`` calls without
-    reading any records.  Returns ``None`` when the file cannot be
-    range-split (gzip, empty, unmappable); callers then fall back to a
-    single whole-file shard.  Short files yield fewer ranges than
+    line start and the ranges partition the file exactly — each
+    boundary is the end of the line at or after an evenly spaced
+    candidate offset, found with one ``seek`` and one ``readline``
+    without reading any records.  Returns ``None`` when the file cannot
+    be range-split (gzip, empty, not seekable); callers then fall back
+    to a single whole-file shard.  Short files yield fewer ranges than
     requested rather than empty ones.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    handle, mapped = open_line_source(path)
-    try:
-        if mapped is None:
+    with _open_binary(path) as handle:
+        if isinstance(handle, gzip.GzipFile) or not handle.seekable():
             return None
-        size = len(mapped)
+        size = handle.seek(0, io.SEEK_END)
         if size == 0:
             return None
         boundaries = [0]
@@ -132,16 +110,12 @@ def split_byte_ranges(path: PathLike, shards: int):
             candidate = index * size // shards
             if candidate <= boundaries[-1]:
                 continue
-            newline = mapped.find(b"\n", candidate)
-            boundary = size if newline == -1 else newline + 1
-            if boundary > boundaries[-1] and boundary < size:
+            handle.seek(candidate)
+            boundary = candidate + len(handle.readline())
+            if boundaries[-1] < boundary < size:
                 boundaries.append(boundary)
         boundaries.append(size)
         return list(zip(boundaries, boundaries[1:]))
-    finally:
-        if mapped is not None:
-            mapped.close()
-        handle.close()
 
 
 def read_jsonlines_fused(
@@ -177,15 +151,11 @@ def read_jsonlines_fused(
     misses = 0
     records = 0
     byte_offset = start
-    handle, mapped = open_line_source(path)
+    handle = _open_binary(path)
     if start:
-        if mapped is not None:
-            mapped.seek(start)
-        else:
-            _seek_range_start(handle, path, start)
-    lines = iter(mapped.readline, b"") if mapped is not None else handle
+        _seek_range_start(handle, path, start)
     try:
-        for line_number, line in enumerate(lines, start=1):
+        for line_number, line in enumerate(handle, start=1):
             if end is not None and byte_offset >= end:
                 break
             byte_offset += len(line)
@@ -237,8 +207,6 @@ def read_jsonlines_fused(
         cache.hits += hits
         cache.misses += misses
         _flush_counters("fused", records, hits, misses, byte_offset - start)
-        if mapped is not None:
-            mapped.close()
         handle.close()
 
 
@@ -290,15 +258,11 @@ def read_jsonlines_typed(
     misses = 0
     records = 0
     byte_offset = start
-    handle, mapped = open_line_source(path)
+    handle = _open_binary(path)
     if start:
-        if mapped is not None:
-            mapped.seek(start)
-        else:
-            _seek_range_start(handle, path, start)
-    lines = iter(mapped.readline, b"") if mapped is not None else handle
+        _seek_range_start(handle, path, start)
     try:
-        for line_number, line in enumerate(lines, start=1):
+        for line_number, line in enumerate(handle, start=1):
             if end is not None and byte_offset >= end:
                 break
             byte_offset += len(line)
@@ -342,8 +306,6 @@ def read_jsonlines_typed(
             yield tau, value
     finally:
         _flush_counters("typed", records, hits, misses, byte_offset - start)
-        if mapped is not None:
-            mapped.close()
         handle.close()
 
 

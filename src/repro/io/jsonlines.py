@@ -169,18 +169,24 @@ def _open_text(path: PathLike, mode: str, newline: Optional[str] = None) -> IO[s
     return open(path, mode, encoding="utf-8", newline=newline)
 
 
+#: Read buffer of a plain input: every reader's line loop runs over it,
+#: refilling 16 times less often than with a 4 KiB ``st_blksize``
+#: default.
+READ_BUFFER_BYTES = 64 * 1024
+
+
 def _open_binary(path: PathLike) -> IO[bytes]:
     """Open a (possibly gzipped) file as a raw byte stream.
 
     Line iteration over the result splits on ``\\n`` only, matching
     text mode with newline translation disabled; byte offsets are then
-    plain sums of line lengths.
+    plain sums of line lengths.  The one line source of every reader.
     """
     path = FsPath(path)
     try:
         if path.suffix == ".gz":
             return gzip.open(path, "rb")
-        return open(path, "rb")
+        return open(path, "rb", buffering=READ_BUFFER_BYTES)
     except OSError as exc:
         raise DatasetError(
             f"{path}: cannot read input: {exc.strerror or exc}"

@@ -18,6 +18,7 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cli import main
 from repro.discovery import DiscoveryState, JxplainConfig, state_for_algorithm
@@ -43,6 +44,7 @@ GOLDEN = CHECKPOINTS / "v2" / "bimax-merge-enriched.ckpt"
 MUTATIONS = 3000
 V3_GOLDENS = sorted((CHECKPOINTS / "v3").glob("*.ckpt"))
 V3_MUTATIONS = 1000
+V3_SPLICES = 2000
 
 
 def _mutate(data: bytes, rng: random.Random) -> bytes:
@@ -117,6 +119,63 @@ def test_mutated_v3_golden_decodes_or_raises_codec_error(golden):
         except StateCodecError:
             rejected += 1
     assert rejected > V3_MUTATIONS // 10
+
+
+def _decodes_or_raises_codec_error(data: bytes) -> bool:
+    """True when ``data`` decodes; False on :class:`StateCodecError`.
+    Any other exception propagates and fails the calling test."""
+    try:
+        DiscoveryState.from_bytes(data)
+    except StateCodecError:
+        return False
+    return True
+
+
+def test_spliced_v3_goldens_decode_or_raise_codec_error():
+    # The head of one golden joined to the tail of another: a valid
+    # prefix followed by well-formed but misplaced structure, which
+    # single-byte mutations rarely reach.  The checksum is recomputed,
+    # so the body is parsed.
+    bodies = [path.read_bytes()[:-4] for path in V3_GOLDENS]
+    rng = random.Random(23)
+    rejected = 0
+    for _ in range(V3_SPLICES):
+        head, tail = rng.choice(bodies), rng.choice(bodies)
+        spliced = head[:rng.randrange(len(head) + 1)] + tail[
+            rng.randrange(len(tail) + 1):
+        ]
+        rejected += not _decodes_or_raises_codec_error(_with_crc(spliced))
+    assert rejected > V3_SPLICES // 2
+
+
+_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.floats(min_value=0, max_value=1, exclude_max=True),
+        st.integers(min_value=0, max_value=255),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize("golden", V3_GOLDENS, ids=lambda path: path.stem)
+@given(edits=_edits)
+def test_hypothesis_mutated_v3_golden_decodes_or_raises_codec_error(
+    golden, edits
+):
+    buffer = bytearray(golden.read_bytes()[:-4])
+    for kind, where, byte in edits:
+        at = int(where * len(buffer)) if buffer else 0
+        if kind == "insert":
+            buffer.insert(at, byte)
+        elif not buffer:
+            continue
+        elif kind == "delete":
+            del buffer[at]
+        else:
+            buffer[at] = byte
+    _decodes_or_raises_codec_error(_with_crc(bytes(buffer)))
 
 
 @pytest.mark.parametrize("name", ["l-reduce", "k-reduce"])

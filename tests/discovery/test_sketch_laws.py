@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from datetime import datetime
 from unittest import mock
 
@@ -179,6 +180,29 @@ class TestSketchSemantics:
             sketch.absorb(f"value-{index}")
         # Relative error ~1.04/sqrt(1024) ≈ 3.3%; allow 4 sigma.
         assert abs(sketch.estimate() - 5000) / 5000 < 0.13
+
+    @pytest.mark.parametrize("precision", [4, 8, 12, 16])
+    @pytest.mark.parametrize("fill", ["random", "zeros", "max"])
+    def test_hll_estimate_equals_the_power_expression(self, precision, fill):
+        # The estimate sums a table of 2.0 ** -rank; it must give the
+        # exact floats of the expression it replaced, for every byte a
+        # checkpoint's registers can hold.
+        rng = random.Random(precision)
+        m = 1 << precision
+        sketch = HLLCardinalitySketch(precision)
+        fills = {"random": rng.randbytes(m), "zeros": bytes(m),
+                 "max": b"\xff" * m}
+        sketch.registers = bytearray(fills[fill])
+        registers = sketch.registers
+        inverse_sum = sum(2.0 ** -rank for rank in registers)
+        raw = sketches._hll_alpha(m) * m * m / inverse_sum
+        zeros = registers.count(0)
+        expected = m * math.log(m / zeros) if raw <= 2.5 * m and zeros else raw
+        table_sum = sum(map(sketches._INV_POW2.__getitem__, registers))
+        assert table_sum == inverse_sum
+        assert repr(table_sum) == repr(inverse_sum)
+        assert sketch.estimate() == expected
+        assert repr(sketch.estimate()) == repr(expected)
 
     def test_format_dominance_requires_unanimity(self):
         sketch = _build(StringFormatSketch, ["2021-06-01", "2021-06-02"])

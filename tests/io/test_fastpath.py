@@ -10,10 +10,17 @@ character length.
 from __future__ import annotations
 
 import gzip
+import io
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.engine.dataset import LocalDataset
 from repro.errors import DatasetError, RecursionDepthError
 from repro.io.fastpath import (
@@ -25,12 +32,15 @@ from repro.io.fastpath import (
 )
 from repro.io.jsonlines import (
     IngestReport,
+    _open_binary,
     ingest_jsonlines,
     load_jsonlines,
     read_jsonlines,
 )
 from repro.jsontypes.tokenizer import ShapeCache
 from repro.jsontypes.types import MAX_DEPTH, type_of
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 #: Three lines: 2-byte-per-char Greek, a 4-byte emoji, then garbage.
 #: The garbage line's byte offset is the sum of the *byte* lengths of
@@ -316,11 +326,17 @@ def _run(reader, path, policy, **ranged):
 
 
 def _assert_readers_agree(path, policy, **ranged):
-    classic, classic_report, classic_error = _run(
-        "classic", path, policy, **ranged
+    return _assert_runs_agree(
+        *(_run(reader, path, policy, **ranged) for reader in READERS)
     )
-    fused, fused_report, fused_error = _run("fused", path, policy, **ranged)
-    typed, typed_report, typed_error = _run("typed", path, policy, **ranged)
+
+
+def _assert_runs_agree(classic_run, fused_run, typed_run):
+    """The classic, fused and typed runs (in ``READERS`` order) agree;
+    returns the common report and error text."""
+    classic, classic_report, classic_error = classic_run
+    fused, fused_report, fused_error = fused_run
+    typed, typed_report, typed_error = typed_run
     assert len(typed) == len(fused) == len(classic)
     for (tau, value), (fused_tau, _), (classic_tau, classic_value) in zip(
         typed, fused, classic
@@ -412,3 +428,129 @@ def test_readers_agree_on_an_int_past_the_parse_limit(
         assert report.bad_records[0].error.startswith(
             "ValueError: Exceeds the limit (4300 digits)"
         )
+
+
+# ---------------------------------------------------------------------------
+# The line source: one buffered stream, on pipes too, whose memory does
+# not grow with the file.
+# ---------------------------------------------------------------------------
+
+
+def _feed_fifo(fifo, payload=b""):
+    """Start a thread that opens ``fifo`` for writing (which blocks
+    until a reader opens it), writes ``payload`` and closes it."""
+
+    def write():
+        with open(fifo, "wb") as pipe:
+            pipe.write(payload)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+def _join(writer):
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+needs_fifo = pytest.mark.skipif(
+    not hasattr(os, "mkfifo"), reason="needs named pipes"
+)
+
+
+@needs_fifo
+@pytest.mark.parametrize("policy", ["raise", "collect"])
+def test_readers_agree_on_a_fifo(tmp_path, policy):
+    # The same bytes at the same path, first as a file, then as a pipe.
+    path = _write(tmp_path / "lines.jsonl", TYPED_LINES, bom=True)
+    payload = path.read_bytes()
+    plain = [_run(reader, path, policy) for reader in READERS]
+    expected = _assert_runs_agree(*plain)
+    path.unlink()
+    os.mkfifo(path)
+    piped = []
+    for reader in READERS:
+        writer = _feed_fifo(path, payload)
+        piped.append(_run(reader, path, policy))
+        _join(writer)
+    assert _assert_runs_agree(*piped) == expected
+    # The fused reader's types (READERS order: classic, fused, typed).
+    assert piped[1][0] == plain[1][0]
+
+
+@needs_fifo
+def test_a_fifo_is_not_range_split(tmp_path):
+    fifo = tmp_path / "lines.jsonl"
+    os.mkfifo(fifo)
+    writer = _feed_fifo(fifo)
+    assert split_byte_ranges(fifo, 2) is None
+    _join(writer)
+    # Which is why: a pipe cannot seek to a range's start.
+    writer = _feed_fifo(fifo)
+    with _open_binary(fifo) as handle, pytest.raises(io.UnsupportedOperation):
+        handle.seek(1)
+    _join(writer)
+
+
+#: Run in a fresh interpreter: read a file whole, then its second half,
+#: and print how far the peak RSS rose, in KiB.  Linux carries a
+#: process's peak RSS across ``exec`` (this one would start at the test
+#: runner's), so the reads run in a forked child, whose peak starts at
+#: its own size.
+PEAK_RSS_PROBE = """
+import collections, os, resource, sys
+from repro.io.fastpath import (
+    read_jsonlines_fused, read_jsonlines_typed, split_byte_ranges,
+)
+from repro.io.jsonlines import read_jsonlines
+
+reader, path = sys.argv[1:]
+read = {
+    "classic": read_jsonlines,
+    "fused": read_jsonlines_fused,
+    "typed": read_jsonlines_typed,
+}[reader]
+start, end = split_byte_ranges(path, 2)[1]
+pid = os.fork()
+if pid == 0:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    collections.deque(read(path), maxlen=0)
+    collections.deque(read(path, start=start, end=end), maxlen=0)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    sys.stdout.flush()
+    os._exit(0)
+assert os.waitpid(pid, 0)[1] == 0
+"""
+
+
+@pytest.fixture(scope="module")
+def repetitive_corpus(tmp_path_factory):
+    """About 20 MB of JSON lines in three repeated shapes."""
+    filler = "x" * 160
+    block = "".join(
+        '{"id": %d, "name": "%s", "tags": ["a", "b"], "ok": true}\n'
+        '{"id": %d, "event": {"kind": "push", "size": %d.5}}\n'
+        '[%d, "%s", null]\n' % (i, filler, i, i, i, filler)
+        for i in range(1000)
+    )
+    path = tmp_path_factory.mktemp("memory") / "repetitive.jsonl"
+    path.write_text(block * (20 * 2**20 // len(block)))
+    return path
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+@pytest.mark.parametrize("reader", list(READERS))
+def test_peak_memory_of_a_read_does_not_grow_with_the_file(
+    repetitive_corpus, reader
+):
+    assert repetitive_corpus.stat().st_size >= 16 * 2**20
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_PROBE, reader, str(repetitive_corpus)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    grown_kib = int(done.stdout.split()[-1])
+    # A reader holds one buffer and one line, not the bytes it has read.
+    assert grown_kib < 4 * 1024

@@ -5,8 +5,9 @@ else: numpy is only for the k-means baseline, the dataset generators
 only for ``generate``/``datasets``, validation only for ``validate``/
 ``diff``, and the analyzer only for ``lint``; no route loads
 ``multiprocessing`` or a process pool, since the process backend forks
-its own children.  Each check runs in a fresh interpreter, since this test
-process has imported all of them already.
+its own children, and none maps its input with ``mmap``, since every
+reader streams one buffered handle.  Each check runs in a fresh
+interpreter, since this test process has imported all of them already.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ NOT_LOADED = (
     "multiprocessing",
     "concurrent.futures",
     "concurrent.futures.process",
+    "mmap",
 )
 
 
