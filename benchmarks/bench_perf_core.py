@@ -1,15 +1,16 @@
 """Core performance bench for the dataflow backends + merge fast path.
 
-Times both extractors end-to-end — K-reduce as a one-pass counted-bag
-fold over a :class:`LocalDataset`, JXPLAIN as the staged three-pass
-pipeline — on the yelp/github/pharma synthetic datasets under four
+Times both extractors end-to-end — K-reduce as a one-pass bag fold
+into a :class:`~repro.discovery.state.KReduceState`, JXPLAIN as the
+recursive merger and as the staged three-pass pipeline — on the yelp/github/pharma synthetic datasets under four
 configurations:
 
 * ``baseline``            — serial executor, list bags, interning and
   the similarity cache off (the seed's behaviour);
 * ``optimized-serial``    — counted bags + interning + cached
   similarity, still serial;
-* ``optimized-threads4``  — the same, fanned out on 4 threads;
+* ``optimized-threads4``  — the same, with the pipeline's pass ②
+  fanned out on 4 threads;
 * ``optimized-processes4``— the same, on 4 processes (picklable tasks).
 
 Results — timings, speedups versus baseline, intern/cache counters,
@@ -34,8 +35,8 @@ from pathlib import Path
 from benchmarks.conftest import emit
 from repro.datasets import make_dataset
 from repro.discovery import Jxplain, JxplainPipeline
-from repro.discovery.kreduce import merge_k
-from repro.engine import LocalDataset, resolve_executor
+from repro.discovery import KReduceState
+from repro.engine import resolve_executor
 from repro.engine.instrument import (
     counters,
     perf_counters,
@@ -67,28 +68,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_PR1.json"
 
 
-# Module-level fold ops so the process backend can ship them.
-
-def _bag_zero():
-    return as_bag([])
-
-
-def _bag_seq(bag, value):
-    bag.add(type_of(value))
-    return bag
-
-
-def _bag_comb(left, right):
-    for tau, count in right.items():
-        left.add(tau, count)
-    return left
-
-
-def _run_kreduce(records, executor):
-    """One-pass distributed K-reduce: per-partition type bags, fanned
-    in, then one batch merge in the driver."""
-    ds = LocalDataset.from_records(records, 4, executor=executor)
-    return merge_k(ds.aggregate(_bag_zero, _bag_seq, _bag_comb))
+def _run_kreduce(records):
+    """One-pass K-reduce: the records' type bag (a list bag in the
+    baseline mode), folded into a state by one batch merge."""
+    state = KReduceState()
+    state.absorb_bag(as_bag(type_of(value) for value in records))
+    return state.synthesize()
 
 
 def _set_mode(optimized):
@@ -108,7 +93,7 @@ def _bench_dataset(name, size):
         _set_mode(optimized)
 
         start = time.perf_counter()
-        schemas_k[mode_name] = _run_kreduce(records, executor)
+        schemas_k[mode_name] = _run_kreduce(records)
         kreduce_s = time.perf_counter() - start
 
         # The one-shot recursive merger (Section 5's Algorithm 4 as a
@@ -118,9 +103,9 @@ def _bench_dataset(name, size):
         schemas_j[mode_name] = Jxplain().discover(records)
         jxplain_s = time.perf_counter() - start
 
-        # The staged three-pass pipeline: the parse and the bag fold
-        # fan out over the executor, then passes ①–③ run once over
-        # the folded state.
+        # The staged three-pass pipeline: the records are absorbed
+        # into a state, then passes ①–③ run once over it, with pass
+        # ②'s per-path clustering fanned out over the executor.
         start = time.perf_counter()
         schemas_p[mode_name] = JxplainPipeline(
             executor=executor

@@ -24,7 +24,8 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.discovery import EntityStrategy, discoverer_names, make_discoverer
+from repro.discovery import EntityStrategy
+from repro.discovery.state import ALGORITHM_NAMES
 from repro.errors import ReproError
 from repro.io.jsonlines import (
     INGEST_MODES,
@@ -32,7 +33,6 @@ from repro.io.jsonlines import (
     ingest_jsonlines,
     write_jsonlines,
 )
-from repro.jsontypes.types import type_of
 from repro.schema import (
     from_json_schema,
     render,
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     discover.add_argument(
         "--algorithm",
         default="bimax-merge",
-        help="one of: " + ", ".join(discoverer_names()),
+        help="one of: " + ", ".join(ALGORITHM_NAMES),
     )
     discover.add_argument(
         "--format",
@@ -325,21 +325,6 @@ def _read_input(path: str, on_bad_record: str) -> list:
     return records
 
 
-def _read_types(path: str, on_bad_record: str, ingest: str) -> list:
-    """The file's record types, through the ``--ingest`` reader.
-
-    Both readers yield the same interned types in the same order, so
-    everything downstream is byte-identical whichever one is chosen.
-    """
-    if ingest == "classic":
-        return [type_of(value) for value in _read_input(path, on_bad_record)]
-    from repro.io.fastpath import ingest_jsonlines_fused
-
-    types, report = ingest_jsonlines_fused(path, on_bad_record=on_bad_record)
-    _warn_bad_records(report)
-    return types
-
-
 def _discover_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
     if args.threshold is not None:
@@ -423,6 +408,25 @@ def _parse_count(value: str, option: str) -> int:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
+    """One route: build a state (or load it with ``--resume``), absorb
+    the input files, synthesize; checkpoint, resume, append, enrich and
+    shards compose freely.
+
+    Every input file enters the state through
+    :func:`repro.engine.sharding.absorb_files`, in this process or (with
+    ``--shards``) in shard workers over byte ranges; with a checkpoint,
+    a sharded file keeps per-shard checkpoints until the state is
+    saved, so a killed run resumes from its completed shards.
+    ``--ingest`` only picks the reader.
+    """
+    from repro.discovery import (
+        JxplainConfig,
+        JxplainMerger,
+        load_state,
+        state_for_algorithm,
+    )
+    from repro.engine.sharding import absorb_files, save_checkpoint
+
     overrides = _discover_overrides(args)
     if args.shards is None and (
         args.workers is not None or args.merge_fanin is not None
@@ -439,59 +443,11 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # Sharded, checkpointed, resumed, appended and enriched runs need a
-    # state (enrichment lives on it).  --ingest only picks the reader.
-    if (
-        args.shards is not None
-        or args.checkpoint
-        or args.resume
-        or args.append
-        or args.enrich is not None
-    ):
-        return _cmd_discover_stateful(args, overrides)
-    if args.input is None:
-        print(
-            "error: discover needs an input file (or --resume)",
-            file=sys.stderr,
-        )
-        return 2
-    types = _read_types(args.input, args.on_bad_record, args.ingest)
-    if not types:
-        print("error: input contains no records", file=sys.stderr)
-        return 2
-    discoverer = make_discoverer(args.algorithm)
-    if overrides:
-        if not hasattr(discoverer, "config"):
-            print(
-                f"error: --threshold/--strategy options do not apply to "
-                f"{args.algorithm}",
-                file=sys.stderr,
-            )
-            return 2
-        discoverer.config = discoverer.config.with_(**overrides)
-    schema = discoverer.merge_types(types)
-    _emit_schema(schema, args)
-    return 0
-
-
-def _cmd_discover_stateful(
-    args: argparse.Namespace, overrides: dict
-) -> int:
-    """Discovery through a state: checkpoint, resume, append, enrich
-    and shards compose freely.
-
-    Every input file enters the state through
-    :func:`repro.io.fastpath.absorb_file`, in this process or (with
-    ``--shards``) in shard workers over byte ranges; with a checkpoint,
-    a sharded file keeps per-shard checkpoints until the state is
-    saved, so a killed run resumes from its completed shards.
-    """
-    from repro.discovery import JxplainConfig, load_state, state_for_algorithm
-    from repro.engine.sharding import absorb_files, save_checkpoint
-
     shards = args.shards
     if shards is not None and shards != "auto":
         shards = _parse_count(shards, "--shards")
+    paths = [args.input] if args.input else []
+    paths.extend(args.append)
     if args.resume:
         if not args.checkpoint:
             print("error: --resume requires --checkpoint", file=sys.stderr)
@@ -505,6 +461,12 @@ def _cmd_discover_stateful(
             return 2
         state = load_state(args.checkpoint)
     else:
+        if not paths:
+            print(
+                "error: discover needs an input file (or --resume)",
+                file=sys.stderr,
+            )
+            return 2
         try:
             state = state_for_algorithm(
                 args.algorithm,
@@ -519,8 +481,6 @@ def _cmd_discover_stateful(
         from repro.engine.executor import ProcessExecutor
 
         executor = ProcessExecutor(max_workers=args.workers)
-    paths = [args.input] if args.input else []
-    paths.extend(args.append)
     try:
         state, reports = absorb_files(
             state,
@@ -540,7 +500,16 @@ def _cmd_discover_stateful(
     if state.record_count == 0:
         print("error: input contains no records", file=sys.stderr)
         return 2
-    schema = state.synthesize()
+    plain = not (
+        args.shards is not None or args.checkpoint or args.resume
+        or args.append or args.enrich is not None
+    )
+    if plain and args.algorithm in ("bimax-merge", "bimax-naive"):
+        # ROADMAP F12 / item 2(a): a plain bimax-* run keeps Algorithm
+        # 4's bytes until one synthesis serves every route.
+        schema = JxplainMerger(state.config).merge(state.bag)
+    else:
+        schema = state.synthesize()
     if args.checkpoint:
         save_checkpoint(state, args.checkpoint, paths)
     _emit_schema(schema, args, state=state)
@@ -785,7 +754,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print("\n".join(dataset_names()))
         return 0
     if args.command == "algorithms":
-        print("\n".join(discoverer_names()))
+        print("\n".join(ALGORITHM_NAMES))
         return 0
     raise AssertionError(f"unhandled command {args.command}")
 

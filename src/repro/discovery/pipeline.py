@@ -13,15 +13,17 @@ data, but the counted bag of record types is a sufficient statistic
 for all three.  So both routes fold their input into a
 :class:`~repro.discovery.state.JxplainState` and run its staged
 synthesis (``JxplainState.synthesize_result``) once:
-:meth:`JxplainPipeline.run` folds the partitions of a
-:class:`~repro.engine.dataset.LocalDataset` into one bag, and
-:meth:`JxplainPipeline.run_file` absorbs files.  Every stage is timed
-(:class:`~repro.engine.StageTimer`) and counted (the dataset's scan
-counter), which is what the Table 5 runtime bench measures.
+:meth:`JxplainPipeline.run` absorbs in-memory records, and
+:meth:`JxplainPipeline.run_file` absorbs files — sharded over byte
+ranges in workers when asked, which is where input parallelism lives.
+Pass ②'s per-path clustering fans out over the configured executor.
+Every stage is timed (:class:`~repro.engine.StageTimer`), which is
+what the Table 5 runtime bench measures.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union as TUnion
 
@@ -29,7 +31,6 @@ from repro.discovery.base import Discoverer, register_discoverer
 from repro.discovery.config import FeatureMode, JxplainConfig, RobustnessConfig
 from repro.discovery.jxplain import JxplainMerger, cluster_key_sets
 from repro.discovery.stat_tree import CollectionDecisions
-from repro.engine.dataset import LocalDataset
 from repro.engine.executor import resolve_executor
 from repro.engine.instrument import StageTimer, counters
 from repro.entities.partitioner import EntityPartitioner
@@ -285,7 +286,6 @@ class JxplainPipeline(Discoverer):
         self,
         config: Optional[JxplainConfig] = None,
         *,
-        num_partitions: int = 4,
         use_fold: bool = True,
         heuristic_sample: Optional[float] = None,
         sample_seed: int = 0,
@@ -304,15 +304,14 @@ class JxplainPipeline(Discoverer):
 
         ``executor`` selects the engine backend (an
         :class:`~repro.engine.Executor` or a spec string like
-        ``"threads:4"``) used when the pipeline builds its own dataset
-        and by sharded :meth:`run_file` runs; a :class:`LocalDataset`
-        passed to :meth:`run` keeps its own.
+        ``"threads:4"``) that :meth:`run` fans pass ②'s per-path
+        clustering out over, and that sharded :meth:`run_file` runs
+        dispatch their shards to.
 
         ``robustness`` installs the DESIGN.md §8 failure model: its
-        retry policy supervises every task :meth:`run` fans out — the
-        per-partition parse and bag fold, and pass ②'s per-path
-        clustering — on whichever backend the dataset carries, and its
-        ``on_bad_record`` policy governs :meth:`run_file` ingestion.
+        retry policy supervises the tasks :meth:`run` fans out (pass
+        ②'s per-path clustering), and its ``on_bad_record`` policy
+        governs :meth:`run_file` ingestion.
 
         The rest configure :meth:`run_file`.  ``ingest`` picks the
         reader: ``"classic"`` parses values, ``"fused"`` streams
@@ -343,7 +342,6 @@ class JxplainPipeline(Discoverer):
                 )
         self.shards = shards
         self.merge_fanin = merge_fanin
-        self.num_partitions = num_partitions
         self.use_fold = use_fold
         if heuristic_sample is not None and not 0.0 < heuristic_sample <= 1.0:
             raise ValueError("heuristic_sample must be in (0, 1]")
@@ -354,51 +352,39 @@ class JxplainPipeline(Discoverer):
             robustness.validate()
         self.robustness = robustness
 
-    # -- the staged synthesis over a dataset ---------------------------------
+    # -- the staged synthesis over in-memory records -------------------------
 
-    def run(
-        self, data: TUnion[LocalDataset, Iterable[JsonValue]]
-    ) -> PipelineResult:
-        """Fold the records into a state and run passes ①–③ over it.
+    def run(self, data: Iterable[TUnion[JsonValue, JsonType]]) -> PipelineResult:
+        """Absorb the records into a state and run passes ①–③ over it.
 
-        The partitions are folded into one counted bag of record types
-        (the sufficient statistic of all three passes), the bag is
-        absorbed into a :class:`~repro.discovery.state.JxplainState`
-        once, and the state's staged synthesis produces the schema and
+        ``data`` holds JSON values or ready-made record types.  Their
+        counted bag (the sufficient statistic of all three passes) is
+        absorbed into a :class:`~repro.discovery.state.JxplainState`,
+        and the state's staged synthesis produces the schema and
         diagnostics — the same route files take through
         :meth:`run_file`.
         """
         from repro.discovery.state import JxplainState
 
         timer = StageTimer()
-        if isinstance(data, LocalDataset):
-            dataset = data
-        else:
-            dataset = LocalDataset.from_records(
-                list(data), self.num_partitions, executor=self.executor
-            )
-        if dataset.is_empty():
+        state = JxplainState(self.config)
+        sample_bag = None
+        with timer.stage("absorb"):
+            types = [
+                record if isinstance(record, JsonType) else type_of(record)
+                for record in data
+            ]
+            state.absorb_bag(CountedBag.from_types(types))
+            fraction = self.heuristic_sample
+            if fraction is not None and fraction < 1.0:
+                sample_bag = _sample_bag(types, fraction, self.sample_seed)
+        if not state.bag:
             raise EmptyInputError("pipeline: no input records")
+        executor = resolve_executor(self.executor)
         if self.robustness is not None:
             policy = self.robustness.retry_policy()
             if policy is not None:
-                dataset = dataset.with_retry(policy)
-        with timer.stage("parse"):
-            # Interning touches the module-level hash-cons table by
-            # design: writes are idempotent canonical values and the
-            # stats counters tolerate lost increments under threads.
-            types = dataset.map(self._ensure_type)  # repro-lint: disable=R9
-        with timer.stage("fold"):
-            bag = _fold_bag(types)
-            sample_bag = None
-            fraction = self.heuristic_sample
-            if fraction is not None and fraction < 1.0:
-                sample = types.sample(fraction, seed=self.sample_seed)
-                if not sample.is_empty():
-                    sample_bag = _fold_bag(sample)
-        with timer.stage("absorb"):
-            state = JxplainState(self.config)
-            state.absorb_bag(bag)
+                executor = executor.with_retry(policy)
         with timer.stage("synthesis"):
             (
                 schema,
@@ -406,7 +392,7 @@ class JxplainPipeline(Discoverer):
                 object_partitioners,
                 array_partitioners,
             ) = state.synthesize_result(
-                heuristics=sample_bag, executor=dataset.executor
+                heuristics=sample_bag, executor=executor
             )
             if not self.use_fold:
                 schema = PipelineMerger(
@@ -522,39 +508,38 @@ class JxplainPipeline(Discoverer):
             state=state,
         )
 
-    @staticmethod
-    def _ensure_type(record: TUnion[JsonType, JsonValue]) -> JsonType:
-        if isinstance(record, JsonType):
-            return record
-        return type_of(record)
-
     # -- Discoverer interface ------------------------------------------------------
 
     def merge_types(self, types: Iterable[JsonType]) -> Schema:
-        return self.run(LocalDataset.from_records(
-            list(types), self.num_partitions, executor=self.executor
-        )).schema
+        return self.run(types).schema
 
     def discover(self, values: Iterable[JsonValue]) -> Schema:
         return self.run(values).schema
 
 
-def _bag_add(bag: CountedBag, tau: JsonType) -> CountedBag:
-    bag.add(tau)
-    return bag
+#: A heuristic sample is a pure function of ``(records, fraction,
+#: seed)``: record ``i`` is kept on the next draw of RNG slot ``i % 4``,
+#: seeded ``seed * 2654435761 + slot``.  Four slots reproduce the
+#: samples of the four-partition layout ``run`` once round-robined its
+#: records into, so recorded sampling results stay put.
+_SAMPLE_SLOTS = 4
 
 
-def _fold_bag(types: LocalDataset) -> CountedBag:
-    """Fold a dataset of record types into one counted bag.
+def _sample_bag(
+    types: Sequence[JsonType], fraction: float, seed: int
+) -> Optional[CountedBag]:
+    """The counted bag of a Bernoulli sample of ``types``, or ``None``
+    when the sample is empty."""
+    draws = [
+        random.Random(seed * 2654435761 + slot).random
+        for slot in range(_SAMPLE_SLOTS)
+    ]
+    sample = CountedBag.from_types(
+        tau
+        for index, tau in enumerate(types)
+        if draws[index % _SAMPLE_SLOTS]() < fraction
+    )
+    return sample if sample else None
 
-    Each partition folds in its worker, and the partial bags combine
-    in partition order, so the bag's first-occurrence order is the
-    dataset's.
-    """
-    return types.tree_aggregate(CountedBag, _bag_add, CountedBag.merge)
 
-
-# The partitioned pipeline is a first-class discoverer: registering it
-# here lets the CLI's plain path (and any registry sweep) instantiate
-# it by name and tune ``num_partitions`` (None = adaptive).
 register_discoverer(JxplainPipeline.name, JxplainPipeline)

@@ -468,6 +468,19 @@ def _state_class_for_kind(kind: str):
     return klass
 
 
+#: The names :func:`state_for_algorithm` accepts (and the CLI's
+#: ``--algorithm`` choices): the registered discoverers, plus
+#: ``jxplain``, the state's own name, which ``bimax-merge`` maps onto.
+ALGORITHM_NAMES = (
+    "bimax-merge",
+    "bimax-naive",
+    "jxplain",
+    "jxplain-pipeline",
+    "k-reduce",
+    "l-reduce",
+)
+
+
 def state_for_algorithm(
     name: str,
     config: Optional[JxplainConfig] = None,
@@ -500,11 +513,10 @@ def state_for_algorithm(
             base.with_(entity_strategy=EntityStrategy.BIMAX_NAIVE)
         )
     else:
-        known = (
-            "l-reduce, k-reduce, jxplain, jxplain-pipeline, "
-            "bimax-merge, bimax-naive"
+        raise ValueError(
+            f"unknown algorithm {name!r}; known: "
+            + ", ".join(ALGORITHM_NAMES)
         )
-        raise ValueError(f"unknown algorithm {name!r}; known: {known}")
     if options is not None:
         state.enrichment = EnrichmentState(options)
     return state

@@ -1,18 +1,21 @@
-"""Pluggable execution backends for the dataflow engine.
+"""Pluggable execution backends for the engine's fan-outs.
 
 The paper runs both extractors on Spark, where per-partition work fans
 out across a cluster.  :class:`Executor` is the local analogue of that
-scheduling layer: it maps a function over a list of partitions and
-returns the per-partition results *in partition order*.  Three
-backends are provided:
+scheduling layer: :meth:`Executor.map_list` maps a function over a
+list of tasks and returns the results *in task order*.  The shard
+coordinator (:mod:`repro.engine.sharding`, one task per byte range of
+an input file), JXPLAIN's per-path and per-entity work
+(:func:`repro.discovery.pipeline.build_partitioners`,
+:class:`repro.discovery.jxplain.JxplainMerger`) and the analyzer's
+per-file lint all fan out through it.  Three backends are provided:
 
 * :class:`SerialExecutor` — the seed behaviour: a plain loop in the
   driver.  Zero overhead, always available.
-* :class:`ThreadExecutor` — a ``ThreadPoolExecutor``.  Per-partition
-  folds release the GIL only around I/O, but this backend still
-  exercises every ordering hazard a real cluster has (partitions
-  complete out of order) and wins when partition work is
-  C-level-heavy.
+* :class:`ThreadExecutor` — a ``ThreadPoolExecutor``.  Pure-Python
+  tasks release the GIL only around I/O, but this backend still
+  exercises every ordering hazard a real cluster has (tasks complete
+  out of order) and wins when task work is C-level-heavy.
 * :class:`ProcessExecutor` — forked children, at most ``workers``
   alive at once: a plain map forks one per contiguous slice of its
   items (at most two slices per worker); a supervised map forks one
@@ -27,9 +30,7 @@ backends are provided:
   ``repr`` so degraded runs are visible.  A platform without
   ``os.fork`` degrades the same way.
 
-Backends are value objects from the dataset's point of view: a
-``LocalDataset`` holds one and threads it through every derived
-dataset, so an entire lineage runs on the backend of its source.
+Backends are value objects: a caller holds one and passes it down.
 ``resolve_executor`` turns a spec string (``"serial"``, ``"threads"``,
 ``"threads:8"``, ``"processes:4"``) into an executor; the process-wide
 default comes from the ``REPRO_EXECUTOR`` environment variable and
@@ -162,7 +163,7 @@ def _counters():
 
 
 class Executor:
-    """Maps a callable over partitions; results keep partition order."""
+    """Maps a callable over tasks; results keep task order."""
 
     #: Registry / spec name of the backend.
     name: str = "abstract"
@@ -326,7 +327,7 @@ def _default_workers(max_workers: Optional[int]) -> int:
 
 
 class ThreadExecutor(Executor):
-    """Thread-pool backend; partitions complete in arbitrary order."""
+    """Thread-pool backend; tasks complete in arbitrary order."""
 
     name = "threads"
 
@@ -778,7 +779,7 @@ def default_executor() -> Executor:
 
 
 def set_default_executor(spec) -> Executor:
-    """Install the default backend for datasets created without one."""
+    """Install the default backend for callers that name none."""
     global _default_executor
     _default_executor = resolve_executor(spec)
     return _default_executor

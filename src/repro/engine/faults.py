@@ -13,8 +13,8 @@ suite can prove that claim:
   ``REPRO_FAULTS`` environment variable;
 * :func:`stage_scope` / :func:`current_stage` — the ambient stage
   label.  :class:`~repro.engine.instrument.StageTimer` enters a scope
-  for every timed stage, so pipeline stage names ("parse", "fold",
-  "synthesis", ...) are fault-injection targets for free.
+  for every timed stage, so stage names ("synthesis",
+  "shard-discover", ...) are fault-injection targets for free.
 
 The executor consults the active plan once per task *attempt* in the
 driver (where the injection counters tick), then executes the fault in
@@ -29,7 +29,7 @@ backends.
 
     stage:index:kind[:times[:delay_seconds]]
 
-    REPRO_FAULTS="synthesis:1:raise,parse:0:delay:1:0.5"
+    REPRO_FAULTS="synthesis:1:raise,shard-discover:0:delay:1:0.5"
 
 A stage of ``*`` matches every stage.
 """

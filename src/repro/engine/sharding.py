@@ -96,8 +96,7 @@ def default_shard_count(file_size: int, workers: int) -> int:
     :data:`SHARDS_PER_WORKER` shards per worker for tail latency,
     but never so many that a shard falls under
     :data:`MIN_SHARD_BYTES` — small files collapse toward a single
-    shard, where serial dispatch wins.  The byte-range analogue of
-    :func:`repro.engine.dataset.adaptive_partitions`.
+    shard, where serial dispatch wins.
     """
     if file_size <= 0:
         return 1

@@ -3,7 +3,6 @@ bytes-to-type fast path, and sampling."""
 
 from repro.io.fastpath import (
     absorb_file,
-    ingest_jsonlines_fused,
     read_jsonlines_fused,
     split_byte_ranges,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "TrainTestSplit",
     "absorb_file",
     "ingest_jsonlines",
-    "ingest_jsonlines_fused",
     "load_jsonlines",
     "merge_ingest_reports",
     "paper_protocol",

@@ -59,7 +59,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import RecursionDepthError
 from repro.io.jsonlines import (
@@ -307,28 +307,6 @@ def read_jsonlines_typed(
     finally:
         _flush_counters("typed", records, hits, misses, byte_offset - start)
         handle.close()
-
-
-def ingest_jsonlines_fused(
-    path: PathLike,
-    *,
-    on_bad_record: str = "skip",
-    shape_cache: Optional[ShapeCache] = None,
-) -> Tuple[List[JsonType], IngestReport]:
-    """Read a whole file into ``(types, report)`` under a policy.
-
-    The fused analogue of :func:`~repro.io.jsonlines.ingest_jsonlines`.
-    """
-    report = IngestReport(path=str(path), policy=on_bad_record)
-    types = list(
-        read_jsonlines_fused(
-            path,
-            on_bad_record=on_bad_record,
-            report=report,
-            shape_cache=shape_cache,
-        )
-    )
-    return types, report
 
 
 def absorb_file(

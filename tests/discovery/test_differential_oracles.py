@@ -31,8 +31,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.discovery import JxplainPipeline, KReduce, LReduce, make_discoverer
 from repro.discovery.state import load_state, save_state, state_for_algorithm
 from repro.engine import ProcessExecutor, SerialExecutor, ThreadExecutor
-from repro.io.fastpath import absorb_file, ingest_jsonlines_fused
-from repro.io.jsonlines import ingest_jsonlines
+from repro.io.fastpath import absorb_file, read_jsonlines_fused
+from repro.io.jsonlines import IngestReport, ingest_jsonlines
 from repro.schema import schema_entropy, to_json_schema
 
 from tests.conftest import json_keys, json_primitives
@@ -157,9 +157,7 @@ def backends():
 def test_pipeline_deterministic_across_backends(backends, records):
     outputs = {}
     for name, executor in backends.items():
-        result = JxplainPipeline(num_partitions=3, executor=executor).run(
-            list(records)
-        )
+        result = JxplainPipeline(executor=executor).run(list(records))
         outputs[name] = (schema_bytes(result.schema), result.record_count)
     assert outputs["threads"] == outputs["serial"]
     assert outputs["processes"] == outputs["serial"]
@@ -235,8 +233,11 @@ def test_fused_state_bytes_equal_classic_on_malformed_corpora(
     path = tmp_path_factory.mktemp("fused") / "corpus.jsonl"
     _write_lines(path, lines)
     records, classic_report = ingest_jsonlines(path, on_bad_record="collect")
-    types, fused_report = ingest_jsonlines_fused(
-        path, on_bad_record="collect"
+    fused_report = IngestReport(path=str(path), policy="collect")
+    types = list(
+        read_jsonlines_fused(
+            path, on_bad_record="collect", report=fused_report
+        )
     )
     assert _report_key(fused_report) == _report_key(classic_report)
     for algorithm in STATE_ALGORITHMS:

@@ -90,3 +90,26 @@ class TestSampledPipeline:
         ).discover(records)
         for record in records:
             assert schema.admits_value(record)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sample_is_the_four_slot_draw(self, seed):
+        """Record ``i`` is kept on the next draw of RNG slot ``i % 4``
+        (seeded ``seed * 2654435761 + slot``), so the sample of every
+        ``(records, fraction, seed)`` is that of a round-robin layout
+        over four partitions, each drawing from its own RNG."""
+        import random
+        from collections import Counter
+
+        from repro.discovery.pipeline import _sample_bag
+
+        types = [
+            type_of(record)
+            for record in make_dataset("pharma").generate(300, seed=2)
+        ]
+        expected = Counter()
+        for slot in range(4):
+            rng = random.Random(seed * 2654435761 + slot)
+            expected.update(
+                tau for tau in types[slot::4] if rng.random() < 0.3
+            )
+        assert dict(_sample_bag(types, 0.3, seed).items()) == expected

@@ -1,15 +1,14 @@
-"""Executor backends: equivalence, fallback, and scan-count exactness.
+"""Executor backends: equivalence, fallback and supervision.
 
-The contract under test is that a backend changes *where* per-partition
-work runs, never *what* any operation returns or how many passes the
-lineage records.  Property tests drive every ``LocalDataset`` operation
-on all three backends and require identical results; scan-counting
-tests re-assert the paper's pass counts (K-reduce: 1; staged JXPLAIN:
-4 including parsing) under parallel execution.
+The contract under test is that a backend changes *where* each task of
+a :meth:`~repro.engine.executor.Executor.map_list` runs, never *what*
+the map returns or in which order.  Property tests drive the same
+per-task work on all three backends and require identical results.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -19,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     Counters,
-    LocalDataset,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -30,8 +28,11 @@ from repro.engine import (
     set_default_executor,
 )
 from repro.datasets import make_dataset
-from repro.discovery import JxplainPipeline, KReduce
+from repro.discovery import JxplainPipeline, KReduce, state_for_algorithm
+from repro.engine.sharding import discover_sharded
 from repro.errors import EngineError
+from repro.io.fastpath import absorb_file
+from repro.io.jsonlines import write_jsonlines
 
 
 # Module-level ops so the process backend can pickle every task.
@@ -44,12 +45,11 @@ def _is_even(x):
     return x % 2 == 0
 
 
-def _explode(x):
-    return [x, -x]
-
-
-def _reverse_partition(partition):
-    return list(reversed(partition))
+def _transform(chunk):
+    # Map, filter and flat-map one task's items, then reverse them.
+    doubled = [_double(x) for x in chunk]
+    exploded = [out for x in doubled if _is_even(x) for out in (x, -x)]
+    return list(reversed(exploded))
 
 
 def _zero():
@@ -65,148 +65,132 @@ def _comb_op(left, right):
     return (left[0] + right[0], (left[1] * right[1]) % 1000003)
 
 
+def _fold_chunk(chunk):
+    return functools.reduce(_seq_op, chunk, _zero())
+
+
+def _merge_k_chunk(chunk):
+    from repro.discovery.kreduce import merge_k
+
+    return merge_k(chunk)
+
+
 @pytest.fixture(scope="module")
 def backends():
     """One long-lived executor per backend (pools are reusable)."""
     return [SerialExecutor(), ThreadExecutor(3), ProcessExecutor(2)]
 
 
-def _datasets(records, num_partitions, backends):
-    return [
-        LocalDataset.from_records(records, num_partitions, executor=ex)
-        for ex in backends
-    ]
+@pytest.fixture(scope="module")
+def github_records():
+    return make_dataset("github").generate(80, seed=5)
+
+
+@pytest.fixture(scope="module")
+def corpus(github_records, tmp_path_factory):
+    path = tmp_path_factory.mktemp("executor") / "github.jsonl"
+    write_jsonlines(path, github_records)
+    return path
+
+
+def _chunks(items, count):
+    """``items`` dealt round-robin into ``count`` task inputs."""
+    return [items[index::count] for index in range(count)]
 
 
 ints = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=40)
-partition_counts = st.integers(min_value=1, max_value=7)
+task_counts = st.integers(min_value=1, max_value=7)
 
 
 class TestBackendEquivalence:
     @settings(max_examples=20, deadline=None)
-    @given(records=ints, parts=partition_counts)
-    def test_transformations_agree(self, backends, records, parts):
-        results = []
-        for ds in _datasets(records, parts, backends):
-            out = (
-                ds.map(_double)
-                .filter(_is_even)
-                .flat_map(_explode)
-                .map_partitions(_reverse_partition)
-            )
-            results.append(out.collect())
+    @given(records=ints, tasks=task_counts)
+    def test_transformations_agree(self, backends, records, tasks):
+        results = [
+            ex.map_list(_transform, _chunks(records, tasks))
+            for ex in backends
+        ]
         assert results[0] == results[1] == results[2]
 
     @settings(max_examples=20, deadline=None)
-    @given(records=ints, parts=partition_counts)
-    def test_aggregate_agrees(self, backends, records, parts):
+    @given(records=ints, tasks=task_counts)
+    def test_aggregate_agrees(self, backends, records, tasks):
+        """Per-task folds come back in task order, so a non-commutative
+        combine of them is backend-independent."""
         values = [
-            ds.aggregate(_zero, _seq_op, _comb_op)
-            for ds in _datasets(records, parts, backends)
+            functools.reduce(
+                _comb_op,
+                ex.map_list(_fold_chunk, _chunks(records, tasks)),
+                _zero(),
+            )
+            for ex in backends
         ]
         assert values[0] == values[1] == values[2]
 
-    @settings(max_examples=20, deadline=None)
-    @given(records=ints, parts=partition_counts)
-    def test_tree_aggregate_agrees(self, backends, records, parts):
-        values = [
-            ds.tree_aggregate(_zero, _seq_op, _comb_op)
-            for ds in _datasets(records, parts, backends)
-        ]
-        assert values[0] == values[1] == values[2]
+    @settings(max_examples=5, deadline=None)
+    @given(shards=st.integers(1, 4), fanin=st.integers(2, 3))
+    def test_tree_aggregate_agrees(self, backends, corpus, shards, fanin):
+        """Shard partials computed on any backend tree-merge, at any
+        fan-in, to the bytes of one unsharded absorption."""
+        serial = state_for_algorithm("k-reduce")
+        absorb_file(serial, corpus, ingest="fused", on_bad_record="raise")
+        for ex in backends:
+            run = discover_sharded(
+                corpus, "k-reduce", executor=ex, shards=shards,
+                merge_fanin=fanin,
+            )
+            assert run.state.to_bytes() == serial.to_bytes()
 
     @settings(max_examples=10, deadline=None)
     @given(
-        records=ints,
-        parts=partition_counts,
-        fraction=st.floats(min_value=0.0, max_value=1.0),
+        fraction=st.floats(min_value=0.05, max_value=1.0),
         seed=st.integers(min_value=0, max_value=99),
     )
     def test_sample_is_backend_independent(
-        self, backends, records, parts, fraction, seed
+        self, backends, github_records, fraction, seed
     ):
-        samples = [
-            ds.sample(fraction, seed=seed).collect()
-            for ds in _datasets(records, parts, backends)
+        results = [
+            JxplainPipeline(
+                heuristic_sample=fraction, sample_seed=seed, executor=ex
+            ).run(github_records)
+            for ex in backends
         ]
-        assert samples[0] == samples[1] == samples[2]
+        for result in results[1:]:
+            assert result.schema == results[0].schema
+            assert result.decisions == results[0].decisions
 
     def test_discoverers_identical_across_backends(self, backends):
-        from repro.discovery.kreduce import merge_k, merge_k_schemas
+        from repro.discovery.kreduce import merge_k_schemas
         from repro.jsontypes import type_of
-        from repro.schema.nodes import NEVER
 
         records = make_dataset("yelp-merged").generate(200, seed=3)
         types = [type_of(r) for r in records]
         reference_k = KReduce().discover(records)
         reference_j = JxplainPipeline().run(records).schema
         for ex in backends:
-            pipeline = JxplainPipeline(executor=ex, num_partitions=4)
+            before = counters.get("executor.process_fallbacks")
+            pipeline = JxplainPipeline(executor=ex)
             assert pipeline.run(records).schema == reference_j
-            folded = LocalDataset.from_records(
-                types, 4, executor=ex
-            ).tree_aggregate(
-                lambda: NEVER,
-                lambda acc, tau: merge_k_schemas(acc, merge_k([tau])),
-                merge_k_schemas,
+            folded = functools.reduce(
+                merge_k_schemas, ex.map_list(_merge_k_chunk, _chunks(types, 4))
             )
             assert folded == reference_k
-
-
-class TestScanCounting:
-    """Pass counts tick in the driver, so they are exact per backend."""
-
-    @pytest.mark.parametrize("spec", ["serial", "threads:3", "processes:2"])
-    def test_pipeline_scans_are_exact(self, spec):
-        records = make_dataset("github").generate(120, seed=1)
-        ds = LocalDataset.from_records(records, 4, executor=spec)
-        before = counters.get("executor.process_fallbacks")
-        JxplainPipeline().run(ds)
-        # map(type_of) + one bag fold = 2 total scans.
-        assert ds.scans == 2
-        # The parse and the bag partials really crossed process
-        # boundaries: nothing degraded to the driver.
-        assert counters.get("executor.process_fallbacks") == before
-
-    @pytest.mark.parametrize("spec", ["serial", "threads:3"])
-    def test_kreduce_fold_single_scan(self, spec):
-        from repro.discovery.kreduce import merge_k, merge_k_schemas
-        from repro.jsontypes import type_of
-        from repro.schema.nodes import NEVER
-
-        records = make_dataset("pharma").generate(80, seed=1)
-        types = [type_of(r) for r in records]
-        ds = LocalDataset.from_records(types, 4, executor=spec)
-        ds.tree_aggregate(
-            lambda: NEVER,
-            lambda acc, tau: merge_k_schemas(acc, merge_k([tau])),
-            merge_k_schemas,
-        )
-        assert ds.scans == 1
-
-    def test_every_op_ticks_once(self):
-        ds = LocalDataset.from_records(list(range(20)), 3, executor="threads:2")
-        assert ds.scans == 0
-        ds2 = ds.map(_double)
-        assert ds.scans == 1
-        ds3 = ds2.filter(_is_even)
-        assert ds.scans == 2
-        ds3.aggregate(_zero, _seq_op, _comb_op)
-        assert ds.scans == 3
-        # Union is metadata-only: no pass over the data.
-        ds2.union(ds3)
-        assert ds.scans == 3
+            # Pass ②'s clustering and the K-reduce partials really
+            # crossed process boundaries: nothing degraded to the driver.
+            assert counters.get("executor.process_fallbacks") == before
 
 
 class TestProcessFallback:
     def test_unpicklable_closure_falls_back_serially(self):
         counters.reset()
-        ds = LocalDataset.from_records(
-            list(range(10)), 4, executor=ProcessExecutor(2)
-        )
+        executor = ProcessExecutor(2)
         bound = 5
-        out = ds.map(lambda x: x + bound).collect()  # closure: unpicklable
-        assert sorted(out) == [x + bound for x in range(10)]
+        try:
+            # A closure is unpicklable.
+            out = executor.map_list(lambda x: x + bound, list(range(10)))
+        finally:
+            executor.close()
+        assert out == [x + bound for x in range(10)]
         assert counters.get("executor.process_fallbacks") >= 1
 
 
@@ -487,18 +471,9 @@ class TestResolution:
         try:
             set_default_executor("threads:2")
             assert isinstance(default_executor(), ThreadExecutor)
-            ds = LocalDataset.from_records([1, 2, 3])
-            assert isinstance(ds.executor, ThreadExecutor)
+            assert isinstance(resolve_executor(None), ThreadExecutor)
         finally:
             set_default_executor(old)
-
-    def test_with_executor_shares_scan_counter(self):
-        ds = LocalDataset.from_records(list(range(9)), 3)
-        threaded = ds.with_executor("threads:2")
-        threaded.map(_double)
-        assert ds.scans == 1
-        assert threaded.collect() == ds.collect()
-        assert sorted(ds.collect()) == list(range(9))
 
 
 class TestCounters:

@@ -209,6 +209,49 @@ class TestCoordinator:
         assert result.report.bad_line_numbers() == [42]
         assert result.report.record_count == 59
 
+    @pytest.mark.parametrize(
+        "merge_fanin", [4, 2], ids=["flat", "tree"]
+    )
+    def test_skipped_shard_is_dropped(self, corpus, tmp_path, merge_fanin):
+        """A shard the ``skip`` policy gives up on contributes nothing;
+        the surviving partials still merge, in shard order, whether in
+        one flat level or as a tree."""
+        from repro.engine import RetryPolicy
+
+        data = corpus.read_bytes()
+        plan = plan_shards(corpus, 4, 1)
+        # Blank out one line inside shard 1 with same-length garbage,
+        # so every range stays put and only that shard fails to read.
+        start, end = plan.ranges[1]
+        line_start = data.index(b"\n", start + 1) + 1
+        line_end = data.index(b"\n", line_start)
+        poisoned = tmp_path / "poisoned.jsonl"
+        poisoned.write_bytes(
+            data[:line_start] + b"#" * (line_end - line_start)
+            + data[line_end:]
+        )
+        survivors = state_for_algorithm("l-reduce", None)
+        for index, (start, end) in enumerate(plan.ranges):
+            if index != 1:
+                for tau in read_jsonlines_fused(corpus, start=start, end=end):
+                    survivors.absorb_type(tau)
+        executor = ThreadExecutor(
+            2, retry=RetryPolicy(max_retries=0, on_failure="skip")
+        )
+        try:
+            result = discover_sharded(
+                poisoned,
+                "l-reduce",
+                executor=executor,
+                shards=4,
+                merge_fanin=merge_fanin,
+            )
+        finally:
+            executor.close()
+        assert result.plan.ranges == plan.ranges
+        assert result.skipped_shards == 1
+        assert result.state.to_bytes() == survivors.to_bytes()
+
     def test_empty_file_yields_empty_state(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_bytes(b"")

@@ -21,11 +21,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine.dataset import LocalDataset
 from repro.errors import DatasetError, RecursionDepthError
 from repro.io.fastpath import (
     absorb_file,
-    ingest_jsonlines_fused,
     read_jsonlines_fused,
     read_jsonlines_typed,
     split_byte_ranges,
@@ -74,7 +72,10 @@ def test_multibyte_offsets_are_raw_byte_exact_in_both_modes(
         tmp_path / f"multibyte{suffix}", NON_ASCII_LINES, compress=compress
     )
     records, classic = ingest_jsonlines(path, on_bad_record="collect")
-    types, fused = ingest_jsonlines_fused(path, on_bad_record="collect")
+    fused = IngestReport(path=str(path), policy="collect")
+    types = list(
+        read_jsonlines_fused(path, on_bad_record="collect", report=fused)
+    )
     for report in (classic, fused):
         assert report.record_count == 2
         assert report.bad_line_numbers() == [3]
@@ -90,7 +91,10 @@ def test_fused_matches_classic_on_bom_and_blank_lines(tmp_path):
         bom=True,
     )
     records, classic = ingest_jsonlines(path, on_bad_record="skip")
-    types, fused = ingest_jsonlines_fused(path, on_bad_record="skip")
+    fused = IngestReport(path=str(path), policy="skip")
+    types = list(
+        read_jsonlines_fused(path, on_bad_record="skip", report=fused)
+    )
     assert classic == fused
     assert fused.record_count == 2
     assert [type_of(record) for record in records] == types
@@ -109,7 +113,10 @@ def test_fused_hits_do_not_reparse_and_preserve_identity(tmp_path):
     lines = ['{"a": %d, "b": "%s"}' % (i, "x" * (i % 3)) for i in range(50)]
     path = _write(tmp_path / "repeat.jsonl", lines)
     cache = ShapeCache()
-    types, report = ingest_jsonlines_fused(path, shape_cache=cache)
+    report = IngestReport(path=str(path), policy="raise")
+    types = list(
+        read_jsonlines_fused(path, report=report, shape_cache=cache)
+    )
     assert report.record_count == 50
     # One shape → one miss, everything else served from the cache.
     assert cache.misses == 1
@@ -121,8 +128,8 @@ def test_shape_cache_can_be_shared_across_files(tmp_path):
     first = _write(tmp_path / "one.jsonl", ['{"k": 1}'] * 3)
     second = _write(tmp_path / "two.jsonl", ['{"k": 2}'] * 3)
     cache = ShapeCache()
-    ingest_jsonlines_fused(first, shape_cache=cache)
-    ingest_jsonlines_fused(second, shape_cache=cache)
+    list(read_jsonlines_fused(first, shape_cache=cache))
+    list(read_jsonlines_fused(second, shape_cache=cache))
     assert cache.misses == 1
     assert cache.hits == 5
 
@@ -213,20 +220,6 @@ def test_load_jsonlines_ingest_modes(tmp_path):
     assert load_jsonlines(path, ingest="fused") == [type_of({"a": 1})]
     with pytest.raises(DatasetError, match="unknown ingest mode"):
         load_jsonlines(path, ingest="warp")
-
-
-def test_adaptive_partitioning_is_opt_in():
-    from repro.engine.dataset import adaptive_partitions
-
-    records = [{"a": 1}] * 6
-    # Explicit default: unchanged layout.
-    assert LocalDataset.from_records(records).num_partitions == 4
-    # Adaptive: six records collapse to one partition.
-    assert LocalDataset.from_records(records, None).num_partitions == 1
-    assert adaptive_partitions(0, 8) == 1
-    assert adaptive_partitions(100, 8) == 1
-    assert adaptive_partitions(4096, 8) == 4
-    assert adaptive_partitions(1_000_000, 8) == 8
 
 
 def test_fused_counters_flush_once_per_file(tmp_path):

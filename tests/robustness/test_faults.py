@@ -35,11 +35,11 @@ def _clean_plan():
 class TestParsing:
     def test_grammar(self):
         plan = FaultPlan.parse(
-            "fold:0:raise,parse:2:delay:3:0.25,pass3:1:corrupt"
+            "absorb:0:raise,synthesis:2:delay:3:0.25,pass3:1:corrupt"
         )
         assert plan.faults == (
-            FaultSpec("fold", 0, "raise"),
-            FaultSpec("parse", 2, "delay", times=3, delay=0.25),
+            FaultSpec("absorb", 0, "raise"),
+            FaultSpec("synthesis", 2, "delay", times=3, delay=0.25),
             FaultSpec("pass3", 1, "corrupt"),
         )
 

@@ -1,11 +1,18 @@
 """Tests for the jxplain command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.io.jsonlines import write_jsonlines
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -48,6 +55,99 @@ class TestDiscover:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert main(["discover", str(path)]) == 2
+
+
+def _help_algorithms(capsys, monkeypatch):
+    """The names ``discover --help`` lists under ``--algorithm``."""
+    # Wide enough that argparse breaks no name at its hyphen.
+    monkeypatch.setenv("COLUMNS", "500")
+    with pytest.raises(SystemExit):
+        main(["discover", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    listed = text.split("--algorithm ALGORITHM one of: ")[1]
+    return listed.split(" --")[0].split(", ")
+
+
+@pytest.mark.parametrize("route", ["plain", "checkpoint"])
+class TestAlgorithmNames:
+    """``--algorithm`` accepts the same names on every route, and the
+    help text and the unknown-name error list them alike."""
+
+    def _discover(self, figure1_file, tmp_path, route, algorithm):
+        flags = (
+            ["--checkpoint", str(tmp_path / "state.ckpt")]
+            if route == "checkpoint" else []
+        )
+        return main(
+            ["discover", str(figure1_file), "--algorithm", algorithm,
+             *flags]
+        )
+
+    def test_unknown_algorithm_is_one_error(
+        self, figure1_file, tmp_path, capsys, monkeypatch, route
+    ):
+        known = _help_algorithms(capsys, monkeypatch)
+        code = self._discover(figure1_file, tmp_path, route, "foo")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unknown algorithm 'foo'; known: "
+            + ", ".join(known) + "\n"
+        )
+        assert main(["algorithms"]) == 0
+        assert capsys.readouterr().out.split() == known
+
+    def test_every_listed_algorithm_runs(
+        self, figure1_file, tmp_path, capsys, monkeypatch, route
+    ):
+        for algorithm in _help_algorithms(capsys, monkeypatch):
+            code = self._discover(figure1_file, tmp_path, route, algorithm)
+            assert code == 0, (algorithm, capsys.readouterr().err)
+
+
+#: Run in a fresh interpreter: ``discover`` a tiny file, then a large
+#: one, each in a child forked from it, and print how far each child's
+#: peak RSS rose, in KiB.  Linux carries a process's peak RSS across
+#: ``exec`` (this one would start at the test runner's), so each run
+#: forks a child, whose peak starts at its own size.
+DISCOVER_RSS_PROBE = """
+import os, resource, sys
+from repro.cli import main
+
+def grown(path, output):
+    pid = os.fork()
+    if pid == 0:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        code = main(["discover", path, "--output", output])
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        sys.stdout.flush()
+        os._exit(code)
+    assert os.waitpid(pid, 0)[1] == 0
+
+tiny, large, output = sys.argv[1:]
+grown(tiny, output)
+grown(large, output)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_peak_memory_of_plain_discover_does_not_grow_with_records(
+    tmp_path,
+):
+    tiny = tmp_path / "tiny.jsonl"
+    tiny.write_text('{"a": 1}\n' * 10)
+    large = tmp_path / "large.jsonl"
+    large.write_text('{"a": 1}\n' * 400_000)
+    done = subprocess.run(
+        [sys.executable, "-c", DISCOVER_RSS_PROBE, str(tiny), str(large),
+         str(tmp_path / "schema.txt")],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    tiny_kib, large_kib = map(int, done.stdout.split())
+    # The run holds the state (one distinct type), not a type per
+    # record: 400k records would cost a pointer each, over 3 MiB.
+    assert large_kib - tiny_kib < 1024
 
 
 #: Every ``discover`` route, by the flags that select it.

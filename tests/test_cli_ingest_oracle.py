@@ -1,22 +1,26 @@
 """The classic reader and the plain route as the CLI's differential
 oracles.
 
-``discover`` reads with the fused reader by default, and ``--ingest``
-selects only the reader: both readers yield the same interned types in
-the same order into the same code path.  So default-flag output must be
+Every ``discover`` run takes one route: it builds a state, absorbs its
+input files through ``absorb_files`` and synthesizes.  ``--ingest``
+selects only the reader, and both readers yield the same interned
+types in the same order.  So default-flag output must be
 byte-identical to ``--ingest classic`` for every algorithm, on corpora
-with few distinct shapes (github), nested collections (pharma) and many
-distinct types (yelp-merged), and under every bad-record policy,
+with few distinct shapes (github), nested collections (pharma) and
+many distinct types (yelp-merged), and under every bad-record policy,
 warning line included.
 
-The stateful routes (``--checkpoint``, ``--shards``) absorb every file
-into a discovery state and synthesize from it; their output must equal
-the plain route's too.  Known divergences are pinned as strict
-xfails: ``bimax-naive`` on yelp-merged (:data:`BIMAX_NAIVE_DIVERGENCE`),
-the k-means entity strategy on github and yelp-merged
-(:data:`KMEANS_DIVERGENCE`), and default ``bimax-merge`` on twitter
-(:data:`TWITTER_DIVERGENCE`), the one algorithm that corpus is
-checked with.
+One conditional is left at synthesis: a plain ``bimax-merge`` or
+``bimax-naive`` run (no ``--checkpoint``, ``--shards``, ``--resume``,
+``--append`` or ``--enrich``) synthesizes with Algorithm 4
+(``JxplainMerger``), and every other run with the state's staged
+synthesis (``JxplainState.synthesize``).  The checkpointed and sharded
+runs must still print the plain run's bytes.  Known divergences of the
+two syntheses are pinned as strict xfails: ``bimax-naive`` on
+yelp-merged (:data:`BIMAX_NAIVE_DIVERGENCE`), the k-means entity
+strategy on github and yelp-merged (:data:`KMEANS_DIVERGENCE`), and
+default ``bimax-merge`` on twitter (:data:`TWITTER_DIVERGENCE`), the
+one algorithm that corpus is checked with.
 """
 
 from __future__ import annotations
