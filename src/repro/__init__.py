@@ -34,8 +34,6 @@ from repro.discovery import (
     JxplainPipeline,
     KReduce,
     LReduce,
-    StreamingJxplain,
-    StreamingKReduce,
     discoverer_names,
     find_coreferences,
     jxplain_merge,
@@ -91,8 +89,6 @@ __all__ = [
     "Kind",
     "LReduce",
     "Schema",
-    "StreamingJxplain",
-    "StreamingKReduce",
     "ValidationReport",
     "diff_schemas",
     "find_coreferences",

@@ -12,8 +12,6 @@ Subcommands:
 * ``diff`` — compare two stored schemas and report structural changes;
 * ``docs`` — render a stored schema as a Markdown documentation page;
 * ``coref`` — report entities repeated at multiple schema paths;
-* ``lint`` — run the repo's own static-invariant analyzer
-  (:mod:`repro.analysis`) over source trees;
 * ``datasets`` / ``algorithms`` — list what is available.
 """
 
@@ -235,79 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="near-equality threshold on key-set overlap",
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help="statically check the codebase's determinism / "
-        "picklability / supervision laws",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src", "tests"],
-        help="files or directories to lint (default: src tests)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="findings as readable text, a JSON report, or SARIF 2.1.0",
-    )
-    lint.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write the report here (a text summary still prints)",
-    )
-    lint.add_argument(
-        "--rules",
-        default=None,
-        metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    lint.add_argument(
-        "--fail-on",
-        choices=("error", "warning", "info", "never"),
-        default="warning",
-        help="exit non-zero when a non-baselined finding reaches this "
-        "severity (default: warning)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file of grandfathered findings "
-        "(default: lint-baseline.json when it exists)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings (pruning "
-        "fingerprints that no longer occur) and exit 0",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-file content-hash cache",
-    )
-    lint.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="cache file location (default: .repro-lint-cache.json)",
-    )
-    lint.add_argument(
-        "--executor",
-        default=None,
-        metavar="SPEC",
-        help="engine backend for the per-file fan-out "
-        "(serial, threads[:N], processes[:N]; default: REPRO_EXECUTOR)",
-    )
-    lint.add_argument(
-        "--show-baselined",
-        action="store_true",
-        help="also print findings the baseline grandfathers",
-    )
-
     sub.add_parser("datasets", help="list dataset generators")
     sub.add_parser("algorithms", help="list discovery algorithms")
     return parser
@@ -433,6 +358,15 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     ):
         print(
             "error: --workers/--merge-fanin require --shards",
+            file=sys.stderr,
+        )
+        return 2
+    if args.algorithm == "bimax-naive" and args.strategy not in (
+        None, EntityStrategy.BIMAX_NAIVE.value
+    ):
+        print(
+            f"error: --algorithm bimax-naive fixes the entity strategy; "
+            f"--strategy {args.strategy} needs --algorithm bimax-merge",
             file=sys.stderr,
         )
         return 2
@@ -596,94 +530,6 @@ def _cmd_coref(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.analysis import (
-        Baseline,
-        DEFAULT_BASELINE_PATH,
-        DEFAULT_CACHE_PATH,
-        LintError,
-        Severity,
-        render_json,
-        render_text,
-        run_lint,
-        summary_line,
-    )
-
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(DEFAULT_BASELINE_PATH):
-        baseline_path = DEFAULT_BASELINE_PATH
-    cache_path = None if args.no_cache else (args.cache or DEFAULT_CACHE_PATH)
-    rules = None
-    if args.rules:
-        rules = [
-            chunk.strip() for chunk in args.rules.split(",") if chunk.strip()
-        ]
-    try:
-        result = run_lint(
-            args.paths,
-            rules=rules,
-            executor=args.executor,
-            cache_path=cache_path,
-            baseline_path=(
-                None if args.update_baseline else baseline_path
-            ),
-        )
-    except LintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.update_baseline:
-        target = baseline_path or DEFAULT_BASELINE_PATH
-        previous = Baseline.load(target)
-        updated, added, removed = Baseline.updated(
-            previous, result.findings, linted_files=result.files
-        )
-        updated.save(target)
-        print(
-            f"baseline {target}: {len(updated.entries)} entries "
-            f"(+{len(added)} added, -{len(removed)} removed)"
-        )
-        for entry in added:
-            print(f"  + {entry['fingerprint']}  {entry['file']} "
-                  f"{entry['rule']}")
-        for entry in removed:
-            print(f"  - {entry['fingerprint']}  {entry['file']} "
-                  f"{entry['rule']}")
-        return 0
-    if args.format == "sarif":
-        import json as _json
-
-        from repro.analysis import ANALYZER_VERSION
-        from repro.analysis.sarif import sarif_report
-
-        report = _json.dumps(
-            sarif_report(
-                result.findings,
-                result.rules,
-                tool_version=str(ANALYZER_VERSION),
-            ),
-            indent=2,
-            sort_keys=True,
-        )
-    elif args.format == "json":
-        report = render_json(result)
-    else:
-        report = render_text(result, show_baselined=args.show_baselined)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-        print(summary_line(result))
-    else:
-        print(report)
-    fail_on = (
-        None
-        if args.fail_on == "never"
-        else Severity(args.fail_on)
-    )
-    return 1 if result.fails(fail_on) else 0
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.datasets import make_dataset
 
@@ -698,7 +544,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``jxplain`` console script.
 
     Exit codes: 0 on success, 1 when ``validate`` rejects records (or
-    ``diff`` finds a breaking change, or ``lint`` a finding), and 2 for
+    ``diff`` finds a breaking change), and 2 for
     a usage error or a library error (:class:`~repro.errors.ReproError`:
     malformed or unreadable input, over-deep records, bad checkpoints),
     which prints ``error: …`` instead of a traceback.
@@ -746,8 +592,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_docs(args)
     if args.command == "coref":
         return _cmd_coref(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     if args.command == "datasets":
         from repro.datasets import dataset_names
 

@@ -77,7 +77,6 @@ from repro.discovery.state import (
     save_state,
     state_for_algorithm,
 )
-from repro.discovery.streaming import StreamingJxplain, StreamingKReduce
 from repro.discovery.tagged_unions import (
     TaggedUnionConfig,
     TaggedUnionDecision,
@@ -122,8 +121,6 @@ __all__ = [
     "PipelineResult",
     "RobustnessConfig",
     "StatTree",
-    "StreamingJxplain",
-    "StreamingKReduce",
     "TaggedUnionConfig",
     "TaggedUnionDecision",
     "TupleShapes",

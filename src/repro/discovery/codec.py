@@ -268,7 +268,7 @@ class _TypePool:
             out.raw(row)
 
 
-def _read_type_table(reader: _Reader) -> List[JsonType]:  # repro-lint: disable=R6 — writer is _TypePool.write_table
+def _read_type_table(reader: _Reader) -> List[JsonType]:
     count = reader.uvarint()
     types: List[JsonType] = []
     for _ in range(count):

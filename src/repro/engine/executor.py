@@ -7,8 +7,8 @@ list of tasks and returns the results *in task order*.  The shard
 coordinator (:mod:`repro.engine.sharding`, one task per byte range of
 an input file), JXPLAIN's per-path and per-entity work
 (:func:`repro.discovery.pipeline.build_partitioners`,
-:class:`repro.discovery.jxplain.JxplainMerger`) and the analyzer's
-per-file lint all fan out through it.  Three backends are provided:
+:class:`repro.discovery.jxplain.JxplainMerger`) fan out through it.
+Three backends are provided:
 
 * :class:`SerialExecutor` — the seed behaviour: a plain loop in the
   driver.  Zero overhead, always available.

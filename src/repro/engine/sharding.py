@@ -492,7 +492,7 @@ class ShardCoordinator:
             # Shard workers intern types into the module-level
             # hash-cons table by design (idempotent canonical values;
             # per-process tables in the process backend).
-            results = self.map_shards(_run_shard, tasks)  # repro-lint: disable=R9
+            results = self.map_shards(_run_shard, tasks)
         with timer.stage("shard-merge"):
             run_result = self._merge_results(plan, results)
         counters.add("sharding.runs")

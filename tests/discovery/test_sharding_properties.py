@@ -244,12 +244,18 @@ class TestWorkerDeathResume:
         executor = ThreadExecutor(
             2, retry=RetryPolicy(max_retries=2, backoff_base=0.001)
         )
+        before = counters.snapshot()
         try:
             result = discover_sharded(
                 corpus, "jxplain", executor=executor, shards=4
             )
         finally:
             executor.close()
+        assert (
+            counters.get("faults.injected_raise")
+            - before.get("faults.injected_raise", 0)
+            == 1
+        )
         state = state_for_algorithm("jxplain", None)
         for tau in read_jsonlines_fused(corpus):
             state.absorb_type(tau)

@@ -656,3 +656,12 @@ class TestColumnAbsorption:
             straight.observe(value)
             interrupted.observe(value)
         assert interrupted.to_bytes() == straight.to_bytes()
+
+
+def test_monoid_laws_cover_every_sketch_class():
+    """``SKETCH_CLASSES`` (the laws' parametrization and the codec's tag
+    table) lists every concrete sketch."""
+    from repro.discovery.sketches import Sketch
+
+    assert set(SKETCH_CLASSES) == set(Sketch.__subclasses__())
+    assert all(not cls.__subclasses__() for cls in SKETCH_CLASSES)

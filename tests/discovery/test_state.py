@@ -295,3 +295,73 @@ class TestCodecErrors:
         corrupted.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError):
             load_state(corrupted)
+
+
+def _concrete_subclasses(base):
+    """Every subclass of ``base`` that nothing subclasses further."""
+    leaves = []
+    for sub in base.__subclasses__():
+        below = _concrete_subclasses(sub)
+        leaves.extend(below or [sub])
+    return leaves
+
+
+def test_monoid_laws_cover_every_state_class():
+    """A new state class is held to the laws above (and the codec
+    registry decodes it) as soon as it exists."""
+    from repro.discovery.state import _STATE_CLASSES
+
+    leaves = set(_concrete_subclasses(DiscoveryState))
+    assert leaves == set(STATE_CLASSES) == set(_STATE_CLASSES)
+
+
+@pytest.fixture(scope="module")
+def payload_samples():
+    """One value (or several) of every standalone codec payload kind."""
+    from repro.discovery import extract_tagged_unions
+
+    state = state_for_algorithm("bimax-merge", enrich="sketches,unions")
+    state.absorb_many(make_dataset("github").generate(120, seed=2))
+    enrichment = state.enrichment
+    sketches = [
+        sketch
+        for path_sketches in enrichment.paths.values()
+        for sketch in (
+            path_sketches.numbers,
+            path_sketches.strings,
+            path_sketches.members,
+            path_sketches.cardinality,
+        )
+    ]
+    decisions = extract_tagged_unions(state)
+    assert decisions
+    return {
+        "schema": [state.synthesize()],
+        "sketch": sketches,
+        "enrichment": [enrichment],
+        "tagged_unions": [decisions, []],
+    }
+
+
+@pytest.mark.parametrize(
+    "module_name", ["codec", "sketches", "tagged_unions"]
+)
+def test_every_payload_encoder_has_an_inverse(module_name, payload_samples):
+    """Each ``dumps_<kind>`` has a ``loads_<kind>`` (and vice versa),
+    and the pair round-trips: decoding then re-encoding gives the same
+    bytes."""
+    import importlib
+
+    module = importlib.import_module(f"repro.discovery.{module_name}")
+    kinds = {
+        name.split("_", 1)[1]
+        for name in vars(module)
+        if name.startswith(("dumps_", "loads_"))
+    }
+    assert kinds
+    for kind in sorted(kinds):
+        dumps = getattr(module, f"dumps_{kind}")
+        loads = getattr(module, f"loads_{kind}")
+        for value in payload_samples[kind]:
+            data = dumps(value)
+            assert dumps(loads(data)) == data, kind

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 import threading
 import time
 
@@ -421,7 +422,7 @@ class TestForkPerTask:
 
         def hold_the_lock():
             # Holding the lock across a fork is the hazard under test.
-            with counters._lock:  # repro-lint: disable=R5
+            with counters._lock:
                 held.set()
                 release.wait(30)
 
@@ -487,3 +488,26 @@ class TestCounters:
         c.reset()
         assert c.snapshot() == {}
         assert c.get("a") == 0
+
+    def test_concurrent_adds_lose_no_update(self):
+        """``add`` is a locked read-modify-write: threads switching
+        every 10 µs still sum exactly."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                c = Counters()
+
+                def work():
+                    for _ in range(5_000):
+                        c.add("n")
+
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                    assert not thread.is_alive()
+                assert c.get("n") == 40_000
+        finally:
+            sys.setswitchinterval(interval)

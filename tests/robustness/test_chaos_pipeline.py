@@ -132,7 +132,9 @@ class TestPipelineChaos:
                 max_retries=2, backoff_base=0.001, on_failure="serial"
             ),
         )
+        before = counters.snapshot()
         assert schema_bytes(robust.discover(records)) == schema_bytes(baseline)
+        assert _delta(before, "faults.injected_raise") == 1
 
 
 def _absorb(corpus, algorithm, **sharding):

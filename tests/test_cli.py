@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.discovery import EntityStrategy
 from repro.io.jsonlines import write_jsonlines
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
@@ -73,14 +74,14 @@ class TestAlgorithmNames:
     """``--algorithm`` accepts the same names on every route, and the
     help text and the unknown-name error list them alike."""
 
-    def _discover(self, figure1_file, tmp_path, route, algorithm):
+    def _discover(self, figure1_file, tmp_path, route, algorithm, *extra):
         flags = (
             ["--checkpoint", str(tmp_path / "state.ckpt")]
             if route == "checkpoint" else []
         )
         return main(
             ["discover", str(figure1_file), "--algorithm", algorithm,
-             *flags]
+             *flags, *extra]
         )
 
     def test_unknown_algorithm_is_one_error(
@@ -102,6 +103,32 @@ class TestAlgorithmNames:
         for algorithm in _help_algorithms(capsys, monkeypatch):
             code = self._discover(figure1_file, tmp_path, route, algorithm)
             assert code == 0, (algorithm, capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [s.value for s in EntityStrategy if s is not EntityStrategy.BIMAX_NAIVE],
+    )
+    def test_bimax_naive_rejects_another_strategy(
+        self, figure1_file, tmp_path, capsys, route, strategy
+    ):
+        """``bimax-naive`` is a strategy itself; another ``--strategy``
+        is one error instead of being silently dropped."""
+        code = self._discover(
+            figure1_file, tmp_path, route, "bimax-naive",
+            "--strategy", strategy,
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --algorithm bimax-naive fixes the entity strategy; "
+            f"--strategy {strategy} needs --algorithm bimax-merge\n"
+        )
+        assert not (tmp_path / "state.ckpt").exists()
+        assert self._discover(
+            figure1_file, tmp_path, route, "bimax-naive",
+            "--strategy", "bimax-naive",
+        ) == 0
 
 
 #: Run in a fresh interpreter: ``discover`` a tiny file, then a large

@@ -2,8 +2,8 @@
 
 ``import repro.cli`` loads what a default ``discover`` runs and nothing
 else: numpy is only for the k-means baseline, the dataset generators
-only for ``generate``/``datasets``, validation only for ``validate``/
-``diff``, and the analyzer only for ``lint``; no route loads
+only for ``generate``/``datasets``, and validation only for
+``validate``/``diff``; no route loads
 ``multiprocessing`` or a process pool, since the process backend forks
 its own children, and none maps its input with ``mmap``, since every
 reader streams one buffered handle.  Each check runs in a fresh
@@ -31,7 +31,6 @@ NOT_LOADED = (
     "numpy",
     "repro.datasets",
     "repro.validation",
-    "repro.analysis",
     "multiprocessing",
     "concurrent.futures",
     "concurrent.futures.process",

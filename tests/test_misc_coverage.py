@@ -68,6 +68,27 @@ class TestPackageSurface:
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
 
+    def test_public_names_are_exported(self):
+        """Every public name a package imports into its namespace is in
+        its ``__all__`` (submodules aside)."""
+        import importlib
+        import pkgutil
+        import types
+
+        import repro
+
+        packages = [repro] + [
+            importlib.import_module(f"repro.{info.name}")
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ]
+        for package in packages:
+            listed = set(package.__all__)
+            for name, value in vars(package).items():
+                if name.startswith("_") or isinstance(value, types.ModuleType):
+                    continue
+                assert name in listed, (package.__name__, name)
+
 
 class TestCliEntropyFlag:
     def test_literal_collections_flag(self, tmp_path, capsys):
