@@ -174,3 +174,23 @@ BIMAX_MERGE_CONFIG = JxplainConfig()
 BIMAX_NAIVE_CONFIG = JxplainConfig(
     entity_strategy=EntityStrategy.BIMAX_NAIVE
 )
+
+
+def bimax_naive_config(
+    config: Optional[JxplainConfig] = None,
+) -> JxplainConfig:
+    """``config`` (default :class:`JxplainConfig`) with the Bimax-Naive
+    entity strategy, as ``bimax-naive`` runs it.
+
+    A config whose strategy is neither the default nor Bimax-Naive is
+    refused with :class:`ValueError` rather than silently overridden.
+    """
+    base = config or JxplainConfig()
+    if base.entity_strategy not in (
+        EntityStrategy.BIMAX_MERGE, EntityStrategy.BIMAX_NAIVE
+    ):
+        raise ValueError(
+            "bimax-naive fixes the entity strategy; entity_strategy "
+            f"{base.entity_strategy.value} needs bimax-merge"
+        )
+    return base.with_(entity_strategy=EntityStrategy.BIMAX_NAIVE)

@@ -36,7 +36,12 @@ from functools import partial
 from typing import Iterable, List, Optional, Sequence, Union as TUnion
 
 from repro.discovery.base import Discoverer, register_discoverer
-from repro.discovery.config import EntityStrategy, FeatureMode, JxplainConfig
+from repro.discovery.config import (
+    EntityStrategy,
+    FeatureMode,
+    JxplainConfig,
+    bimax_naive_config,
+)
 from repro.engine.executor import resolve_executor
 from repro.engine.instrument import counters
 from repro.jsontypes.bag import TypeBag, as_bag
@@ -497,7 +502,11 @@ class Jxplain(Discoverer):
 
 
 class JxplainNaive(Jxplain):
-    """JXPLAIN with Bimax-Naive entity clustering (no GreedyMerge)."""
+    """JXPLAIN with Bimax-Naive entity clustering (no GreedyMerge).
+
+    ``config`` may leave the entity strategy at its default or name
+    Bimax-Naive; any other strategy raises :class:`ValueError`.
+    """
 
     name = "bimax-naive"
 
@@ -507,11 +516,7 @@ class JxplainNaive(Jxplain):
         *,
         executor=None,
     ):
-        base = config or JxplainConfig()
-        super().__init__(
-            base.with_(entity_strategy=EntityStrategy.BIMAX_NAIVE),
-            executor=executor,
-        )
+        super().__init__(bimax_naive_config(config), executor=executor)
 
 
 register_discoverer(Jxplain.name, Jxplain)

@@ -55,14 +55,20 @@ class FeatureExtractor:
     In ``PATHS`` mode a record's features are all of its paths, pruned
     beneath paths the decisions designate as collections (the §6.4
     optimisation); in ``KEYS`` mode, just the top-level key set.
-    Relative collection-path sets are cached per base path.
+    Relative collection-path sets are cached per base path, and each is
+    drawn from the collection paths alone, filtered out of the
+    decisions once.
     """
 
     def __init__(
         self, decisions: CollectionDecisions, config: JxplainConfig
     ):
-        self._decisions = decisions
         self._config = config
+        self._collections = [
+            path
+            for (path, _kind), designation in decisions.items()
+            if designation is Designation.COLLECTION
+        ]
         self._cache: Dict[Path, frozenset] = {}
 
     def relative_collections(self, base: Path) -> frozenset:
@@ -72,10 +78,8 @@ class FeatureExtractor:
             offset = len(base)
             cached = frozenset(
                 path[offset:]
-                for (path, _kind), designation in self._decisions.items()
-                if designation is Designation.COLLECTION
-                and len(path) > offset
-                and path[:offset] == base
+                for path in self._collections
+                if len(path) > offset and path[:offset] == base
             )
             self._cache[base] = cached
         return cached

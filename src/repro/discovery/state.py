@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 from repro.discovery import codec
 from repro.discovery.codec import Decoder, Encoder
-from repro.discovery.config import EntityStrategy, JxplainConfig
+from repro.discovery.config import JxplainConfig, bimax_naive_config
 from repro.discovery.sketches import EnrichmentState, parse_enrich_spec
 from repro.engine.instrument import counters
 from repro.errors import CheckpointError, EmptyInputError, StateCodecError
@@ -491,8 +491,10 @@ def state_for_algorithm(
     The JXPLAIN family maps onto :class:`JxplainState` with the
     matching entity strategy; ``config`` (when given) seeds the
     JXPLAIN configuration and is rejected for the reductions, which
-    have no knobs.  ``enrich`` — ``None``, a ``--enrich`` spec string
-    like ``"sketches,unions"``, or an
+    have no knobs, and for ``bimax-naive`` when it asks for another
+    entity strategy (:func:`~repro.discovery.config.bimax_naive_config`).
+    ``enrich`` — ``None``, a ``--enrich`` spec string like
+    ``"sketches,unions"``, or an
     :class:`~repro.discovery.sketches.EnrichmentOptions` — attaches a
     value-domain enrichment sidecar to the state.
     """
@@ -508,10 +510,7 @@ def state_for_algorithm(
     elif name in ("jxplain", "jxplain-pipeline", "bimax-merge"):
         state = JxplainState(config)
     elif name == "bimax-naive":
-        base = config or JxplainConfig()
-        state = JxplainState(
-            base.with_(entity_strategy=EntityStrategy.BIMAX_NAIVE)
-        )
+        state = JxplainState(bimax_naive_config(config))
     else:
         raise ValueError(
             f"unknown algorithm {name!r}; known: "

@@ -22,7 +22,8 @@ reference; :meth:`ShapeCache.skeleton`, what the readers call) is the
 fast path over the scanner: a cheap, collision-safe summary of a line's
 *key shape* computed with a handful of C-level operations (one
 ``translate`` guard, one ``split`` on quotes, one number-normalizing
-regex, and a key pick by memoized positions).  Its contract is::
+regex, one ``replace`` that spells ``false`` as ``true``, and a key
+pick by one memoized ``itemgetter``).  Its contract is::
 
     skeleton(a) == skeleton(b)  and  both not None
         implies  scan_type(a) is scan_type(b)   (valid lines)
@@ -47,9 +48,22 @@ Why the skeleton is collision-safe (each rule maps to a guard below):
   ``false`` / ``null``, *and any garbage*), except that number
   literals are normalized to ``0`` by a regex that matches exactly the
   JSON number grammar — so two lines share a skeleton only if they
-  agree on everything outside strings up to valid-number spelling.
-  Invalid almost-numbers (``00``, ``1.``, ``+5``) are *not* fully
-  absorbed by the regex and stay distinct from every valid spelling.
+  agree on everything outside strings up to valid-number spelling
+  (and, by the next rule, boolean spelling).  Invalid almost-numbers
+  (``00``, ``1.``, ``+5``) are *not* fully absorbed by the regex and
+  stay distinct from every valid spelling.
+  The regex starts with the class ``[-0-9]`` and picks its branch by
+  lookbehind, a spelling whose start-position scan is one C loop.
+* After number normalization every ``false`` is spelled ``true``.  Both
+  keywords are ``BOOLEAN`` and fill the same grammatical slot, and no
+  number literal holds an ``f``, so in a valid line each ``false``
+  outside strings is the keyword: the replacement keeps a valid line
+  valid with the same type, and an invalid line invalid (``fals``,
+  ``falsee``, ``truefalse`` and ``-false`` stay as malformed as
+  ``fals``, ``truee``, ``truetrue`` and ``-true``).  It never crosses a
+  ``\x01`` separator (neither word holds one), and it never changes a
+  leading space or colon, so the key rule below still reads the
+  structure alone.
 * An int literal longer than Python's int-parse limit
   (``sys.get_int_max_str_digits()``) is malformed to ``json.loads``
   but normalizes to ``0`` like any other, so a line holding a run of
@@ -61,13 +75,14 @@ Why the skeleton is collision-safe (each rule maps to a guard below):
   itself a function of the outside spans, which the skeleton already
   pins.
 * Which positions are keys is even a function of the *structure*, the
-  number-normalized outside text alone: no number literal begins with
-  ``:``, normalization only rewrites number literals (never a leading
-  space or a colon), and the guard admits no whitespace but the space
-  character, so "``:`` after optional spaces" reads the same before
-  and after normalization.  :meth:`ShapeCache.skeleton` therefore finds
-  the key positions once per structure and reuses them for every later
-  line with that structure.
+  normalized outside text alone: no number literal or keyword begins
+  with ``:``, normalization only rewrites number literals and
+  ``false`` (never a leading space or a colon), and the guard admits
+  no whitespace but the space character, so "``:`` after optional
+  spaces" reads the same before and after normalization.
+  :meth:`ShapeCache.skeleton` therefore finds the key positions once
+  per structure, keeps them as one ``itemgetter``, and reuses it for
+  every later line with that structure.
 """
 
 from __future__ import annotations
@@ -75,7 +90,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from typing import Dict, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.jsontypes import types as _types
 from repro.jsontypes.types import (
@@ -98,12 +114,18 @@ from repro.jsontypes.types import (
 #: ``bytes.translate`` and comparing lengths is a single C scan.
 UNSAFE_BYTES = bytes(range(0x20)) + b"\\" + bytes(range(0x80, 0x100))
 
-#: Exactly the JSON number grammar (RFC 8259 §6), over bytes.  Every
-#: match starts at ``-`` or a digit; the lookahead says so, which lets
-#: the regex engine skip every other start position instead of trying
-#: the optional ``-?`` at each byte.
+#: Exactly the JSON number grammar (RFC 8259 §6), over bytes, spelled
+#: so that it starts with a character class: every match starts at
+#: ``-`` or a digit, and a leading class lets the regex engine skip
+#: every other start position in one C-level charset scan (a leading
+#: lookahead or an optional ``-?`` does not).  A lookbehind then picks
+#: the branch the first byte opened: after ``-`` the int part
+#: ``0|[1-9][0-9]*``, after ``0`` nothing, after ``1``-``9`` more
+#: digits.  The spans matched are those of
+#: ``-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?``.
 NUMBER_RE = re.compile(
-    rb"(?=[-\d])-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?"
+    rb"[-0-9](?:(?<=-)(?:0|[1-9][0-9]*)|(?<=0)|(?<=[1-9])[0-9]*)"
+    rb"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 )
 
 #: Joins outside-string spans in skeletons; cannot occur in a
@@ -146,7 +168,8 @@ def structural_skeleton(line: bytes) -> Optional[Skeleton]:
     if len(parts) % 2 == 0:
         return None
     keys = tuple(map(parts.__getitem__, _key_positions(parts)))
-    return NUMBER_RE.sub(b"0", _SPAN_SEP.join(parts[0::2])), keys
+    structure = NUMBER_RE.sub(b"0", _SPAN_SEP.join(parts[0::2]))
+    return structure.replace(b"false", b"true"), keys
 
 
 def _key_positions(parts) -> Tuple[int, ...]:
@@ -159,6 +182,15 @@ def _key_positions(parts) -> Tuple[int, ...]:
         if parts[index][:1] == b":"
         or (parts[index][:1] == b" " and parts[index].lstrip()[:1] == b":")
     )
+
+
+def _key_picker(positions: Tuple[int, ...]):
+    """What :meth:`ShapeCache.skeleton` memoizes per structure: an
+    ``itemgetter`` that picks the keys out of a line's quote split in
+    one C-level call, or, for zero or one key, the positions themselves
+    (an ``itemgetter`` of one position returns a bare item, not a
+    tuple)."""
+    return itemgetter(*positions) if len(positions) > 1 else positions
 
 
 def line_token_count(line: bytes) -> int:
@@ -409,9 +441,11 @@ class ShapeCache:
         #: re-reads it (:func:`int_digit_limit`) when it starts.
         self.digit_limit = int_digit_limit()
         self._table: Dict[Skeleton, JsonType] = {}
-        # Structure → key positions in the line's quote split, bounded
-        # and evicted like the table.
-        self._key_positions: Dict[bytes, Tuple[int, ...]] = {}
+        # Structure → key picker (:func:`_key_picker`) over the line's
+        # quote split, bounded and evicted like the table.
+        self._key_positions: Dict[
+            bytes, Union[Callable, Tuple[int, ...]]
+        ] = {}
 
     def skeleton(self, line: bytes) -> Optional[Skeleton]:
         """:func:`structural_skeleton` of ``line``, under
@@ -419,8 +453,8 @@ class ShapeCache:
 
         Which quoted spans are keys is a function of the structure (see
         the module docstring), so the positions are found once per
-        structure and each later line picks its keys out of its split
-        in one C-level call.
+        structure, kept as one ``itemgetter``, and each later line
+        picks its keys out of its split in one C-level call.
         """
         size = len(line)
         if len(line.translate(None, UNSAFE_BYTES)) != size:
@@ -431,15 +465,19 @@ class ShapeCache:
         parts = line.split(b'"')
         if not len(parts) & 1:
             return None
-        structure = NUMBER_RE.sub(b"0", _SPAN_SEP.join(parts[0::2]))
+        structure = NUMBER_RE.sub(
+            b"0", _SPAN_SEP.join(parts[0::2])
+        ).replace(b"false", b"true")
         memo = self._key_positions
-        positions = memo.get(structure)
-        if positions is None:
-            positions = _key_positions(parts)
+        pick = memo.get(structure)
+        if pick is None:
+            pick = _key_picker(_key_positions(parts))
             if len(memo) >= self.max_size:
                 del memo[next(iter(memo))]
-            memo[structure] = positions
-        return structure, tuple(map(parts.__getitem__, positions))
+            memo[structure] = pick
+        if type(pick) is tuple:
+            return structure, tuple(map(parts.__getitem__, pick))
+        return structure, pick(parts)
 
     def get(self, skeleton: Skeleton) -> Optional[JsonType]:
         return self._table.get(skeleton)

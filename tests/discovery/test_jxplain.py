@@ -182,6 +182,17 @@ class TestClusterKeySets:
         assert 1 <= len(clusters) <= 2
 
 
+@pytest.mark.parametrize("strategy", list(EntityStrategy))
+def test_naive_variant_keeps_or_refuses_the_strategy(strategy):
+    config = JxplainConfig(entity_strategy=strategy)
+    if strategy in (EntityStrategy.BIMAX_MERGE, EntityStrategy.BIMAX_NAIVE):
+        naive = JxplainNaive(config)
+        assert naive.config.entity_strategy is EntityStrategy.BIMAX_NAIVE
+    else:
+        with pytest.raises(ValueError, match="fixes the entity strategy"):
+            JxplainNaive(config)
+
+
 class TestGeneralProperties:
     @given(value_lists)
     @settings(max_examples=50)

@@ -250,6 +250,17 @@ class TestStateForAlgorithm:
         naive = state_for_algorithm("bimax-naive")
         assert naive.config.entity_strategy is EntityStrategy.BIMAX_NAIVE
 
+    @pytest.mark.parametrize("strategy", list(EntityStrategy))
+    def test_bimax_naive_keeps_or_refuses_the_strategy(self, strategy):
+        config = JxplainConfig(entity_strategy=strategy)
+        kept = (EntityStrategy.BIMAX_MERGE, EntityStrategy.BIMAX_NAIVE)
+        if strategy in kept:
+            state = state_for_algorithm("bimax-naive", config)
+            assert state.config.entity_strategy is EntityStrategy.BIMAX_NAIVE
+        else:
+            with pytest.raises(ValueError, match="fixes the entity strategy"):
+                state_for_algorithm("bimax-naive", config)
+
     def test_reductions_take_no_config(self):
         for name in ("l-reduce", "k-reduce"):
             with pytest.raises(ValueError):

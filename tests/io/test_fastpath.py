@@ -222,6 +222,26 @@ def test_load_jsonlines_ingest_modes(tmp_path):
         load_jsonlines(path, ingest="warp")
 
 
+def test_each_reader_misses_once_per_distinct_type_on_github(tmp_path):
+    """github 1,000 records (seed 5) hold 31 distinct types, and each
+    reader misses exactly once per type (76 misses before ``false``
+    shared ``true``'s structure)."""
+    from repro.datasets import make_dataset
+    from repro.engine.instrument import counters
+
+    records = make_dataset("github").generate(1000, seed=5)
+    path = _write(tmp_path / "github.jsonl", map(json.dumps, records))
+    distinct = set(map(type_of, records))
+    for reader in (read_jsonlines_fused, read_jsonlines_typed):
+        before = counters.snapshot()
+        list(reader(path))
+        after = counters.snapshot()
+        misses = after["ingest.shape_misses"] - before.get(
+            "ingest.shape_misses", 0
+        )
+        assert misses == len(distinct) == 31, reader.__name__
+
+
 def test_fused_counters_flush_once_per_file(tmp_path):
     from repro.engine.instrument import counters
 
