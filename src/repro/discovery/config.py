@@ -13,10 +13,10 @@ rest.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.heuristics.collection import DEFAULT_ENTROPY_THRESHOLD
+from repro.records import FrozenRecord
 
 
 class FeatureMode(enum.Enum):
@@ -54,43 +54,56 @@ class EntityStrategy(enum.Enum):
     KMEANS = "kmeans"
 
 
-@dataclass(frozen=True)
-class JxplainConfig:
+class JxplainConfig(FrozenRecord):
     """All tunable behaviour of the JXPLAIN merge.
 
     The defaults reproduce the configuration used for "Bimax-Merge"
     rows throughout the paper's experiments.
     """
 
-    #: Key-space / length entropy threshold of Algorithm 5.
-    entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD
-    #: Depth bound for the §5.2 similarity constraint; None = the
-    #: paper's literal (unbounded) rule.  A small bound (e.g. 4)
-    #: tolerates kind-mixing buried deep inside otherwise-homogeneous
-    #: collection elements (Wikidata's datavalue.value).
-    similarity_depth: Optional[int] = None
-    #: When False, arrays are always collections (the K-reduce rule).
-    detect_array_tuples: bool = True
-    #: When False, objects are always tuples (the K-reduce rule).
-    detect_object_collections: bool = True
-    #: Entity-partitioning strategy for tuple-like bags.
-    entity_strategy: EntityStrategy = EntityStrategy.BIMAX_MERGE
-    #: Feature vectors for entity discovery: key sets or full paths.
-    feature_mode: FeatureMode = FeatureMode.PATHS
-    #: k for the KMEANS strategy; None = use the Bimax-Naive count.
-    kmeans_k: Optional[int] = None
-    #: Seed for the KMEANS strategy (the only stochastic component).
-    kmeans_seed: int = 0
-    #: Weight k-means seeding/centroids by record multiplicity when the
-    #: caller supplies counts (False preserves the paper's distinct-set
-    #: clustering).
-    kmeans_weighted: bool = False
-    #: Hard bound on schema/recursion depth.
-    max_depth: int = 128
+    __slots__ = (
+        "entropy_threshold", "similarity_depth", "detect_array_tuples",
+        "detect_object_collections", "entity_strategy", "feature_mode",
+        "kmeans_k", "kmeans_seed", "kmeans_weighted", "max_depth",
+    )
+
+    def __init__(
+        self,
+        #: Key-space / length entropy threshold of Algorithm 5.
+        entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD,
+        #: Depth bound for the §5.2 similarity constraint; None = the
+        #: paper's literal (unbounded) rule.  A small bound (e.g. 4)
+        #: tolerates kind-mixing buried deep inside otherwise-homogeneous
+        #: collection elements (Wikidata's datavalue.value).
+        similarity_depth: Optional[int] = None,
+        #: When False, arrays are always collections (the K-reduce rule).
+        detect_array_tuples: bool = True,
+        #: When False, objects are always tuples (the K-reduce rule).
+        detect_object_collections: bool = True,
+        #: Entity-partitioning strategy for tuple-like bags.
+        entity_strategy: EntityStrategy = EntityStrategy.BIMAX_MERGE,
+        #: Feature vectors for entity discovery: key sets or full paths.
+        feature_mode: FeatureMode = FeatureMode.PATHS,
+        #: k for the KMEANS strategy; None = use the Bimax-Naive count.
+        kmeans_k: Optional[int] = None,
+        #: Seed for the KMEANS strategy (the only stochastic component).
+        kmeans_seed: int = 0,
+        #: Weight k-means seeding/centroids by record multiplicity when
+        #: the caller supplies counts (False preserves the paper's
+        #: distinct-set clustering).
+        kmeans_weighted: bool = False,
+        #: Hard bound on schema/recursion depth.
+        max_depth: int = 128,
+    ) -> None:
+        self._init(
+            entropy_threshold, similarity_depth, detect_array_tuples,
+            detect_object_collections, entity_strategy, feature_mode,
+            kmeans_k, kmeans_seed, kmeans_weighted, max_depth,
+        )
 
     def with_(self, **overrides) -> "JxplainConfig":
         """A copy with the given fields replaced."""
-        return replace(self, **overrides)
+        return self._replace(**overrides)
 
     def validate(self) -> None:
         if self.entropy_threshold < 0:
@@ -107,8 +120,7 @@ class JxplainConfig:
             raise ValueError("kmeans_k must be positive when set")
 
 
-@dataclass(frozen=True)
-class RobustnessConfig:
+class RobustnessConfig(FrozenRecord):
     """Failure-model knobs for a discovery run (DESIGN.md §8).
 
     Bundles the ingestion error-channel policy with the executor
@@ -118,18 +130,30 @@ class RobustnessConfig:
     serially in the driver before giving up.
     """
 
-    #: Ingestion policy: ``raise`` / ``skip`` / ``collect``.
-    on_bad_record: str = "skip"
-    #: Extra attempts per task after the first.
-    max_retries: int = 2
-    #: Per-attempt deadline in seconds (pooled backends); None = none.
-    task_timeout: Optional[float] = None
-    #: First backoff delay between attempts, in seconds.
-    backoff_base: float = 0.01
-    #: Deterministic jitter seed for the backoff schedule.
-    retry_seed: int = 0
-    #: Escalation after retries: ``raise`` / ``serial`` / ``skip``.
-    on_failure: str = "serial"
+    __slots__ = (
+        "on_bad_record", "max_retries", "task_timeout", "backoff_base",
+        "retry_seed", "on_failure",
+    )
+
+    def __init__(
+        self,
+        #: Ingestion policy: ``raise`` / ``skip`` / ``collect``.
+        on_bad_record: str = "skip",
+        #: Extra attempts per task after the first.
+        max_retries: int = 2,
+        #: Per-attempt deadline in seconds (pooled backends); None = none.
+        task_timeout: Optional[float] = None,
+        #: First backoff delay between attempts, in seconds.
+        backoff_base: float = 0.01,
+        #: Deterministic jitter seed for the backoff schedule.
+        retry_seed: int = 0,
+        #: Escalation after retries: ``raise`` / ``serial`` / ``skip``.
+        on_failure: str = "serial",
+    ) -> None:
+        self._init(
+            on_bad_record, max_retries, task_timeout, backoff_base,
+            retry_seed, on_failure,
+        )
 
     def validate(self) -> None:
         from repro.io.jsonlines import INGEST_POLICIES
@@ -164,7 +188,7 @@ class RobustnessConfig:
 
     def with_(self, **overrides) -> "RobustnessConfig":
         """A copy with the given fields replaced."""
-        return replace(self, **overrides)
+        return self._replace(**overrides)
 
 
 #: The configuration for the paper's "Bimax-Merge" (JXPLAIN) rows.

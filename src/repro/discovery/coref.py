@@ -20,10 +20,10 @@ labels, no values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.jsontypes.paths import Path, ROOT, STAR, render_path
+from repro.records import Record
 from repro.schema.nodes import (
     ArrayCollection,
     ArrayTuple,
@@ -42,14 +42,19 @@ DEFAULT_JACCARD = 0.8
 MIN_FIELDS = 3
 
 
-@dataclass
-class CoReference:
+class CoReference(Record):
     """One repeated entity: its occurrence paths and unified schema."""
 
-    paths: List[Path]
-    unified: ObjectTuple
-    exact: bool
-    members: List[ObjectTuple] = field(default_factory=list)
+    __slots__ = ("paths", "unified", "exact", "members")
+
+    def __init__(
+        self,
+        paths: List[Path],
+        unified: ObjectTuple,
+        exact: bool,
+        members: Optional[List[ObjectTuple]] = None,
+    ) -> None:
+        self._init(paths, unified, exact, [] if members is None else members)
 
     @property
     def occurrences(self) -> int:

@@ -23,7 +23,6 @@ precomputed decisions, which the test suite verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.discovery.config import JxplainConfig
@@ -34,6 +33,7 @@ from repro.heuristics.collection import Designation
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import Path, ROOT, STAR
 from repro.jsontypes.types import ArrayType, JsonType, ObjectType, PrimitiveType
+from repro.records import Record
 from repro.schema.nodes import (
     ArrayCollection,
     ArrayTuple,
@@ -46,47 +46,79 @@ from repro.schema.nodes import (
 )
 
 
-@dataclass
-class ObjectEntityAcc:
+class ObjectEntityAcc(Record):
     """Accumulated state of one object entity (ObjectTuple-to-be)."""
 
-    required: Set[str]
-    fields: Dict[str, "FoldNode"] = field(default_factory=dict)
+    __slots__ = ("required", "fields")
+
+    def __init__(
+        self, required: Set[str], fields: Optional[Dict[str, FoldNode]] = None
+    ) -> None:
+        self.required = required
+        self.fields = {} if fields is None else fields
 
 
-@dataclass
-class ObjectCollAcc:
+class ObjectCollAcc(Record):
     """Accumulated state of an object collection."""
 
-    value: Optional["FoldNode"] = None
-    domain: Set[str] = field(default_factory=set)
+    __slots__ = ("value", "domain")
+
+    def __init__(
+        self, value: Optional[FoldNode] = None, domain: Optional[Set[str]] = None
+    ) -> None:
+        self.value = value
+        self.domain = set() if domain is None else domain
 
 
-@dataclass
-class ArrayEntityAcc:
+class ArrayEntityAcc(Record):
     """Accumulated state of one array entity (ArrayTuple-to-be)."""
 
-    min_length: int
-    positions: List["FoldNode"] = field(default_factory=list)
+    __slots__ = ("min_length", "positions")
+
+    def __init__(
+        self, min_length: int, positions: Optional[List[FoldNode]] = None
+    ) -> None:
+        self.min_length = min_length
+        self.positions = [] if positions is None else positions
 
 
-@dataclass
-class ArrayCollAcc:
+class ArrayCollAcc(Record):
     """Accumulated state of an array collection."""
 
-    element: Optional["FoldNode"] = None
-    max_length: int = 0
+    __slots__ = ("element", "max_length")
+
+    def __init__(
+        self, element: Optional[FoldNode] = None, max_length: int = 0
+    ) -> None:
+        self.element = element
+        self.max_length = max_length
 
 
-@dataclass
-class FoldNode:
+class FoldNode(Record):
     """The fold's element/accumulator type for one path."""
 
-    primitive_kinds: Set[Kind] = field(default_factory=set)
-    object_entities: Dict[int, ObjectEntityAcc] = field(default_factory=dict)
-    object_collection: Optional[ObjectCollAcc] = None
-    array_entities: Dict[int, ArrayEntityAcc] = field(default_factory=dict)
-    array_collection: Optional[ArrayCollAcc] = None
+    __slots__ = (
+        "primitive_kinds", "object_entities", "object_collection",
+        "array_entities", "array_collection",
+    )
+
+    def __init__(
+        self,
+        primitive_kinds: Optional[Set[Kind]] = None,
+        object_entities: Optional[Dict[int, ObjectEntityAcc]] = None,
+        object_collection: Optional[ObjectCollAcc] = None,
+        array_entities: Optional[Dict[int, ArrayEntityAcc]] = None,
+        array_collection: Optional[ArrayCollAcc] = None,
+    ) -> None:
+        self.primitive_kinds = (
+            set() if primitive_kinds is None else primitive_kinds
+        )
+        self.object_entities = (
+            {} if object_entities is None else object_entities
+        )
+        self.object_collection = object_collection
+        self.array_entities = {} if array_entities is None else array_entities
+        self.array_collection = array_collection
 
 
 class DecidedFolder:

@@ -24,7 +24,6 @@ what the Table 5 runtime bench measures.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union as TUnion
 
 from repro.discovery.base import Discoverer, register_discoverer
@@ -46,6 +45,7 @@ from repro.jsontypes.types import (
     ObjectType,
     type_of,
 )
+from repro.records import Record
 from repro.schema.nodes import Schema
 
 
@@ -104,12 +104,20 @@ def _deterministic_feature_order(feature_sets: Set[frozenset]) -> List[frozenset
     )
 
 
-@dataclass
-class TupleShapes:
+class TupleShapes(Record):
     """Pass ②'s accumulator: observed shapes at tuple-designated paths."""
 
-    object_features: Dict[Path, Set[frozenset]] = field(default_factory=dict)
-    array_lengths: Dict[Path, Set[int]] = field(default_factory=dict)
+    __slots__ = ("object_features", "array_lengths")
+
+    def __init__(
+        self,
+        object_features: Optional[Dict[Path, Set[frozenset]]] = None,
+        array_lengths: Optional[Dict[Path, Set[int]]] = None,
+    ) -> None:
+        self._init(
+            {} if object_features is None else object_features,
+            {} if array_lengths is None else array_lengths,
+        )
 
     def add(
         self,
@@ -255,22 +263,33 @@ class PipelineMerger(JxplainMerger):
         return partitioner.non_empty_groups(list(arrays), key_sets)
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(Record):
     """Everything the staged pipeline produced."""
 
-    schema: Schema
-    decisions: CollectionDecisions
-    object_partitioners: Dict[Path, EntityPartitioner]
-    array_partitioners: Dict[Path, EntityPartitioner]
-    timer: StageTimer
-    record_count: int
-    #: Per-file ingestion account when the run came from
-    #: :meth:`JxplainPipeline.run_file`; None for in-memory input.
-    ingest_report: Optional[object] = None
-    #: The checkpointable :class:`~repro.discovery.state.JxplainState`
-    #: when the run was asked to build one; None otherwise.
-    state: Optional[object] = None
+    __slots__ = (
+        "schema", "decisions", "object_partitioners", "array_partitioners",
+        "timer", "record_count", "ingest_report", "state",
+    )
+
+    def __init__(
+        self,
+        schema: Schema,
+        decisions: CollectionDecisions,
+        object_partitioners: Dict[Path, EntityPartitioner],
+        array_partitioners: Dict[Path, EntityPartitioner],
+        timer: StageTimer,
+        record_count: int,
+        #: Per-file ingestion account when the run came from
+        #: :meth:`JxplainPipeline.run_file`; None for in-memory input.
+        ingest_report: Optional[object] = None,
+        #: The checkpointable :class:`~repro.discovery.state.JxplainState`
+        #: when the run was asked to build one; None otherwise.
+        state: Optional[object] = None,
+    ) -> None:
+        self._init(
+            schema, decisions, object_partitioners, array_partitioners,
+            timer, record_count, ingest_report, state,
+        )
 
     @property
     def collection_paths(self) -> frozenset:

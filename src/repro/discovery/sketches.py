@@ -47,15 +47,18 @@ lazy delegates so callers get the public API here.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+# ``hashlib.blake2b`` is this class; importing it through ``hashlib``
+# would also load OpenSSL (``_hashlib``), which nothing here uses.
+from _blake2 import blake2b
+
 from repro.jsontypes.paths import Path, ROOT, STAR
+from repro.records import FrozenRecord
 
 __all__ = [
     "BloomMembershipSketch",
@@ -164,8 +167,8 @@ def _split_kinds(values) -> Dict[type, list]:
 #: Unkeyed blake2b hashers that :func:`_digests` copies: a copy is
 #: cheaper than a constructor call with ``digest_size``, and gives the
 #: same digest.
-_BLAKE2B_16 = hashlib.blake2b(digest_size=16)
-_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
+_BLAKE2B_16 = blake2b(digest_size=16)
+_BLAKE2B_8 = blake2b(digest_size=8)
 
 
 def _digests(empty, fingerprints) -> bytes:
@@ -369,7 +372,7 @@ class BloomMembershipSketch(Sketch):
         self.count = 0
 
     def _indexes(self, fingerprint: bytes) -> List[int]:
-        digest = hashlib.blake2b(fingerprint, digest_size=16).digest()
+        digest = blake2b(fingerprint, digest_size=16).digest()
         h1 = int.from_bytes(digest[:8], "little")
         # Forcing h2 odd keeps the double-hash probe sequence full
         # when ``size`` is a power of two.
@@ -677,8 +680,7 @@ SKETCH_CLASSES: Tuple[type, ...] = (
 ENRICH_FEATURES = ("sketches", "unions")
 
 
-@dataclass(frozen=True)
-class EnrichmentOptions:
+class EnrichmentOptions(FrozenRecord):
     """What to collect and with which sketch geometry.
 
     Frozen and hashable so it travels inside pickled
@@ -686,16 +688,28 @@ class EnrichmentOptions:
     value across checkpoint/resume.
     """
 
-    sketches: bool = True
-    unions: bool = False
-    bloom_bits: int = DEFAULT_BLOOM_BITS
-    bloom_hashes: int = DEFAULT_BLOOM_HASHES
-    hll_precision: int = DEFAULT_HLL_PRECISION
-    #: Distinct values tracked per candidate discriminant key before
-    #: its evidence saturates (saturation disqualifies the key).
-    union_value_cap: int = 32
-    #: Longest string admissible as a discriminant value.
-    union_string_cap: int = 64
+    __slots__ = (
+        "sketches", "unions", "bloom_bits", "bloom_hashes", "hll_precision",
+        "union_value_cap", "union_string_cap",
+    )
+
+    def __init__(
+        self,
+        sketches: bool = True,
+        unions: bool = False,
+        bloom_bits: int = DEFAULT_BLOOM_BITS,
+        bloom_hashes: int = DEFAULT_BLOOM_HASHES,
+        hll_precision: int = DEFAULT_HLL_PRECISION,
+        #: Distinct values tracked per candidate discriminant key before
+        #: its evidence saturates (saturation disqualifies the key).
+        union_value_cap: int = 32,
+        #: Longest string admissible as a discriminant value.
+        union_string_cap: int = 64,
+    ) -> None:
+        self._init(
+            sketches, unions, bloom_bits, bloom_hashes, hll_precision,
+            union_value_cap, union_string_cap,
+        )
 
     def validate(self) -> "EnrichmentOptions":
         if not (self.sketches or self.unions):

@@ -24,7 +24,6 @@ nested elements pass the similarity constraint.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.discovery.config import JxplainConfig
@@ -36,6 +35,7 @@ from repro.heuristics.collection import (
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import Path, ROOT, STAR
 from repro.jsontypes.types import ArrayType, JsonType, ObjectType, PrimitiveType
+from repro.records import Record
 
 #: A collection decision key: the (generalized) path plus which of the
 #: path's complex kinds the decision is about.
@@ -45,8 +45,7 @@ DecisionKey = Tuple[Path, Kind]
 CollectionDecisions = Dict[DecisionKey, Designation]
 
 
-@dataclass
-class StatTree:
+class StatTree(Record):
     """Mergeable per-path statistics over a bag of record types.
 
     ``similarity_depth`` bounds the §5.2 similarity checks accumulated
@@ -54,11 +53,26 @@ class StatTree:
     across merged trees.
     """
 
-    primitive_kinds: Counter = field(default_factory=Counter)
-    object_evidence: Optional[CollectionEvidence] = None
-    array_evidence: Optional[CollectionEvidence] = None
-    children: Dict[object, "StatTree"] = field(default_factory=dict)
-    similarity_depth: Optional[int] = None
+    __slots__ = (
+        "primitive_kinds", "object_evidence", "array_evidence", "children",
+        "similarity_depth",
+    )
+
+    def __init__(
+        self,
+        primitive_kinds: Optional[Counter] = None,
+        object_evidence: Optional[CollectionEvidence] = None,
+        array_evidence: Optional[CollectionEvidence] = None,
+        children: Optional[Dict[object, "StatTree"]] = None,
+        similarity_depth: Optional[int] = None,
+    ) -> None:
+        self.primitive_kinds = (
+            Counter() if primitive_kinds is None else primitive_kinds
+        )
+        self.object_evidence = object_evidence
+        self.array_evidence = array_evidence
+        self.children = {} if children is None else children
+        self.similarity_depth = similarity_depth
 
     def add(self, tau: JsonType, count: int = 1) -> None:
         """Fold one type (and its whole subtree) into the statistics.
@@ -237,16 +251,26 @@ def collection_paths(decisions: CollectionDecisions) -> frozenset:
     )
 
 
-@dataclass
-class PathEntropy:
+class PathEntropy(Record):
     """One point of Figure 4: a complex path and its key-space entropy."""
 
-    path: Path
-    kind: Kind
-    entropy: float
-    instances: int
-    distinct_keys: int
-    elements_similar: bool
+    __slots__ = (
+        "path", "kind", "entropy", "instances", "distinct_keys",
+        "elements_similar",
+    )
+
+    def __init__(
+        self,
+        path: Path,
+        kind: Kind,
+        entropy: float,
+        instances: int,
+        distinct_keys: int,
+        elements_similar: bool,
+    ) -> None:
+        self._init(
+            path, kind, entropy, instances, distinct_keys, elements_similar
+        )
 
 
 def entropy_profile(

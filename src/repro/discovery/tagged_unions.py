@@ -40,7 +40,6 @@ branches stay consistent with the structural pass over the same bag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.discovery.kreduce import merge_k
@@ -52,6 +51,7 @@ from repro.discovery.sketches import (
 from repro.jsontypes.bag import CountedBag
 from repro.jsontypes.paths import Path, ROOT
 from repro.jsontypes.types import ObjectType
+from repro.records import FrozenRecord, Record
 from repro.schema.nodes import Schema
 
 __all__ = [
@@ -65,19 +65,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TaggedUnionConfig:
+class TaggedUnionConfig(FrozenRecord):
     """Thresholds for discriminant-key qualification (see module doc)."""
 
-    max_branches: int = 16
-    min_coverage: float = 0.95
-    max_entropy: float = 4.0
-    min_predictiveness: float = 0.9
-    #: Below this many absorbed records the evidence is too thin to
-    #: call anything a tag.
-    min_records: int = 20
-    #: Every value must back its branch with at least this many records.
-    min_branch_support: int = 2
+    __slots__ = (
+        "max_branches", "min_coverage", "max_entropy", "min_predictiveness",
+        "min_records", "min_branch_support",
+    )
+
+    def __init__(
+        self,
+        max_branches: int = 16,
+        min_coverage: float = 0.95,
+        max_entropy: float = 4.0,
+        min_predictiveness: float = 0.9,
+        #: Below this many absorbed records the evidence is too thin to
+        #: call anything a tag.
+        min_records: int = 20,
+        #: Every value must back its branch with at least this many
+        #: records.
+        min_branch_support: int = 2,
+    ) -> None:
+        self._init(
+            max_branches, min_coverage, max_entropy, min_predictiveness,
+            min_records, min_branch_support,
+        )
 
     def validate(self) -> "TaggedUnionConfig":
         if self.max_branches < 2:
@@ -109,25 +121,35 @@ class TaggedUnionConfig:
         return self
 
 
-@dataclass
-class TaggedUnionBranch:
+class TaggedUnionBranch(Record):
     """One arm of a tagged union: the tag value and its schema."""
 
-    value: Scalar
-    count: int
-    schema: Schema
+    __slots__ = ("value", "count", "schema")
+
+    def __init__(self, value: Scalar, count: int, schema: Schema) -> None:
+        self._init(value, count, schema)
 
 
-@dataclass
-class TaggedUnionDecision:
+class TaggedUnionDecision(Record):
     """A detected discriminant key and its synthesized branches."""
 
-    path: Path
-    key: str
-    entropy: float
-    coverage: float
-    predictiveness: float
-    branches: List[TaggedUnionBranch] = field(default_factory=list)
+    __slots__ = (
+        "path", "key", "entropy", "coverage", "predictiveness", "branches",
+    )
+
+    def __init__(
+        self,
+        path: Path,
+        key: str,
+        entropy: float,
+        coverage: float,
+        predictiveness: float,
+        branches: Optional[List[TaggedUnionBranch]] = None,
+    ) -> None:
+        self._init(
+            path, key, entropy, coverage, predictiveness,
+            [] if branches is None else branches,
+        )
 
     def to_bytes(self) -> bytes:
         return dumps_tagged_unions([self])
@@ -146,12 +168,13 @@ class TaggedUnionDecision:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    key: str
-    entropy: float
-    coverage: float
-    predictiveness: float
+class _Candidate(FrozenRecord):
+    __slots__ = ("key", "entropy", "coverage", "predictiveness")
+
+    def __init__(
+        self, key: str, entropy: float, coverage: float, predictiveness: float
+    ) -> None:
+        self._init(key, entropy, coverage, predictiveness)
 
     def sort_key(self):
         # Descending predictiveness/coverage, ascending entropy, then

@@ -80,11 +80,11 @@ import select
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.engine import faults
 from repro.errors import EngineError
+from repro.records import FrozenRecord
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -93,31 +93,41 @@ U = TypeVar("U")
 ON_FAILURE_MODES = ("raise", "serial", "skip")
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(FrozenRecord):
     """Supervision policy for every task an executor runs."""
 
-    #: Extra attempts after the first (``0`` disables retries).
-    max_retries: int = 2
-    #: Per-attempt deadline in seconds, counted from when the driver
-    #: starts waiting on the attempt (thread and process backends; the
-    #: process backend times an attempt still queued then from its
-    #: start).  ``None`` waits forever.  The serial backend cannot preempt a running
-    #: task, so it ignores the deadline (documented limitation).
-    task_timeout: Optional[float] = None
-    #: First backoff delay, in seconds.
-    backoff_base: float = 0.01
-    #: Growth factor per attempt.
-    backoff_multiplier: float = 2.0
-    #: Jitter fraction: each delay is stretched by up to this fraction,
-    #: deterministically per ``(seed, task, attempt)``.
-    jitter: float = 0.1
-    #: Seed for the jitter stream.
-    seed: int = 0
-    #: Escalation after retries: ``raise`` / ``serial`` / ``skip``.
-    on_failure: str = "serial"
+    __slots__ = (
+        "max_retries", "task_timeout", "backoff_base", "backoff_multiplier",
+        "jitter", "seed", "on_failure",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        #: Extra attempts after the first (``0`` disables retries).
+        max_retries: int = 2,
+        #: Per-attempt deadline in seconds, counted from when the driver
+        #: starts waiting on the attempt (thread and process backends;
+        #: the process backend times an attempt still queued then from
+        #: its start).  ``None`` waits forever.  The serial backend
+        #: cannot preempt a running task, so it ignores the deadline
+        #: (documented limitation).
+        task_timeout: Optional[float] = None,
+        #: First backoff delay, in seconds.
+        backoff_base: float = 0.01,
+        #: Growth factor per attempt.
+        backoff_multiplier: float = 2.0,
+        #: Jitter fraction: each delay is stretched by up to this
+        #: fraction, deterministically per ``(seed, task, attempt)``.
+        jitter: float = 0.1,
+        #: Seed for the jitter stream.
+        seed: int = 0,
+        #: Escalation after retries: ``raise`` / ``serial`` / ``skip``.
+        on_failure: str = "serial",
+    ) -> None:
+        self._init(
+            max_retries, task_timeout, backoff_base, backoff_multiplier,
+            jitter, seed, on_failure,
+        )
         if self.max_retries < 0:
             raise EngineError("max_retries must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -138,7 +148,7 @@ class RetryPolicy:
         return 1 + self.max_retries
 
     def with_(self, **overrides) -> "RetryPolicy":
-        return replace(self, **overrides)
+        return self._replace(**overrides)
 
 
 def retry_delay(policy: RetryPolicy, task_index: int, attempt: int) -> float:

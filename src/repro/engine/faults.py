@@ -40,10 +40,10 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.records import FrozenRecord
 
 #: Environment variable holding a fault-plan spec string.
 FAULTS_ENV_VAR = "REPRO_FAULTS"
@@ -63,34 +63,39 @@ class InjectedFault(ReproError, RuntimeError):
     """The failure raised by a ``raise`` fault (a simulated crash)."""
 
 
-@dataclass(frozen=True)
-class CorruptResult:
+class CorruptResult(FrozenRecord):
     """Wrapper a ``corrupt`` fault puts around a task's real result.
 
     The executor's integrity check treats it like a task failure, so
     retries scrub corruption exactly as they scrub crashes.
     """
 
-    original: object
+    __slots__ = ("original",)
+
+    def __init__(self, original: object) -> None:
+        self._init(original)
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(FrozenRecord):
     """One injectable fault, addressed by stage / task / attempt."""
 
-    #: Stage label to match (``"*"`` matches any stage).
-    stage: str
-    #: Task index within a single ``map_list`` call.
-    task_index: int
-    #: One of :data:`FAULT_KINDS`.
-    kind: str
-    #: Fire on the first ``times`` attempts of the task, then stand
-    #: down (so a retry succeeds deterministically).
-    times: int = 1
-    #: Sleep duration for ``delay`` faults.
-    delay: float = DEFAULT_DELAY_SECONDS
+    __slots__ = ("stage", "task_index", "kind", "times", "delay")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        #: Stage label to match (``"*"`` matches any stage).
+        stage: str,
+        #: Task index within a single ``map_list`` call.
+        task_index: int,
+        #: One of :data:`FAULT_KINDS`.
+        kind: str,
+        #: Fire on the first ``times`` attempts of the task, then stand
+        #: down (so a retry succeeds deterministically).
+        times: int = 1,
+        #: Sleep duration for ``delay`` faults.
+        delay: float = DEFAULT_DELAY_SECONDS,
+    ) -> None:
+        self._init(stage, task_index, kind, times, delay)
         if self.kind not in FAULT_KINDS:
             known = ", ".join(FAULT_KINDS)
             raise FaultError(f"unknown fault kind {self.kind!r}; known: {known}")
@@ -114,14 +119,13 @@ class FaultSpec:
         )
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(FrozenRecord):
     """An immutable collection of :class:`FaultSpec`\\ s."""
 
-    faults: Tuple[FaultSpec, ...] = field(default_factory=tuple)
+    __slots__ = ("faults",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "faults", tuple(self.faults))
+    def __init__(self, faults: Iterable[FaultSpec] = ()) -> None:
+        self._init(tuple(faults))
 
     def __bool__(self) -> bool:
         return bool(self.faults)

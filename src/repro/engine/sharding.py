@@ -59,16 +59,15 @@ offset is unavailable at raise time).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine.executor import Executor, resolve_executor
 from repro.engine.instrument import StageTimer, counters
 from repro.errors import CheckpointError, EngineError
+from repro.records import FrozenRecord, Record
 
 #: Default merge fan-in for the driver-side partial tree.
 DEFAULT_MERGE_FANIN = 2
@@ -104,16 +103,21 @@ def default_shard_count(file_size: int, workers: int) -> int:
     return max(1, min(max(1, workers) * SHARDS_PER_WORKER, by_size))
 
 
-@dataclass(frozen=True)
-class ShardPlan:
+class ShardPlan(FrozenRecord):
     """The byte-range decomposition of one input file."""
 
-    path: str
-    file_size: int
-    #: ``(start, end)`` byte ranges in file order.  A single
-    #: ``(0, None)`` range means the file could not be range-split
-    #: (gzip, empty, unmappable) and is read whole by one shard.
-    ranges: Tuple[Tuple[int, Optional[int]], ...]
+    __slots__ = ("path", "file_size", "ranges")
+
+    def __init__(
+        self,
+        path: str,
+        file_size: int,
+        #: ``(start, end)`` byte ranges in file order.  A single
+        #: ``(0, None)`` range means the file could not be range-split
+        #: (gzip, empty, unmappable) and is read whole by one shard.
+        ranges: Tuple[Tuple[int, Optional[int]], ...],
+    ) -> None:
+        self._init(path, file_size, ranges)
 
     @property
     def shard_count(self) -> int:
@@ -149,41 +153,69 @@ def plan_shards(path, shards: Optional[int], workers: int) -> ShardPlan:
     )
 
 
-@dataclass(frozen=True)
-class ShardTask:
+class ShardTask(FrozenRecord):
     """One shard's work order (picklable, as every executor task is)."""
 
-    index: int
-    path: str
-    start: int
-    end: Optional[int]
-    algorithm: str
-    config: Optional[object] = None
-    on_bad_record: str = "raise"
-    ingest: str = "fused"
-    checkpoint_dir: Optional[str] = None
-    #: Parsed :class:`~repro.discovery.sketches.EnrichmentOptions`
-    #: (frozen, picklable) or ``None``.
-    enrich: Optional[object] = None
+    __slots__ = (
+        "index", "path", "start", "end", "algorithm", "config",
+        "on_bad_record", "ingest", "checkpoint_dir", "enrich",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        path: str,
+        start: int,
+        end: Optional[int],
+        algorithm: str,
+        config: Optional[object] = None,
+        on_bad_record: str = "raise",
+        ingest: str = "fused",
+        checkpoint_dir: Optional[str] = None,
+        #: Parsed :class:`~repro.discovery.sketches.EnrichmentOptions`
+        #: (frozen, picklable) or ``None``.
+        enrich: Optional[object] = None,
+    ) -> None:
+        self._init(
+            index, path, start, end, algorithm, config, on_bad_record,
+            ingest, checkpoint_dir, enrich,
+        )
 
 
-@dataclass
-class ShardResult:
-    """One shard's outcome (picklable; sent back from the worker)."""
+class ShardResult(Record):
+    """One shard's outcome (picklable; sent back from the worker).
 
-    index: int
-    #: The shard's serialized ``DiscoveryState`` (codec bytes).
-    state_bytes: bytes
-    #: Shard-relative ingestion report (absolute byte offsets).
-    report: object
-    #: Counter deltas accumulated while running this shard, including
-    #: ``intern.*`` / ``similarity.*`` cache statistics.
-    counter_deltas: dict = field(default_factory=dict)
-    #: PID of the process that produced the result; the driver flushes
-    #: ``counter_deltas`` only when this differs from its own PID.
-    worker_pid: int = 0
-    #: Whether the result was loaded from a per-shard checkpoint.
-    resumed: bool = False
+    Its ``__dict__`` carries what a caller attaches to a result besides
+    its fields (a tracing harness sends a shard's spans back this way).
+    """
+
+    __slots__ = (
+        "index", "state_bytes", "report", "counter_deltas", "worker_pid",
+        "resumed", "__dict__",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        #: The shard's serialized ``DiscoveryState`` (codec bytes).
+        state_bytes: bytes,
+        #: Shard-relative ingestion report (absolute byte offsets).
+        report: object,
+        #: Counter deltas accumulated while running this shard,
+        #: including ``intern.*`` / ``similarity.*`` cache statistics.
+        counter_deltas: Optional[dict] = None,
+        #: PID of the process that produced the result; the driver
+        #: flushes ``counter_deltas`` only when this differs from its
+        #: own PID.
+        worker_pid: int = 0,
+        #: Whether the result was loaded from a per-shard checkpoint.
+        resumed: bool = False,
+    ) -> None:
+        self._init(
+            index, state_bytes, report,
+            {} if counter_deltas is None else counter_deltas,
+            worker_pid, resumed,
+        )
 
 
 def _perf_snapshot() -> dict:
@@ -334,22 +366,33 @@ def _run_shard(task: ShardTask) -> ShardResult:
     return result
 
 
-@dataclass
-class ShardRunResult:
+class ShardRunResult(Record):
     """Everything a sharded discovery run produced."""
 
-    #: The merged :class:`~repro.discovery.state.DiscoveryState`.
-    state: object
-    #: Whole-file ingestion report (exact line numbers re-based from
-    #: the per-shard reports).
-    report: object
-    plan: ShardPlan
-    #: Shards whose results were loaded from per-shard checkpoints.
-    resumed_shards: int = 0
-    #: Shards dropped by a ``skip``-escalation supervision policy.
-    skipped_shards: int = 0
-    #: Total serialized partial payload shipped back to the driver.
-    partial_bytes: int = 0
+    __slots__ = (
+        "state", "report", "plan", "resumed_shards", "skipped_shards",
+        "partial_bytes",
+    )
+
+    def __init__(
+        self,
+        #: The merged :class:`~repro.discovery.state.DiscoveryState`.
+        state: object,
+        #: Whole-file ingestion report (exact line numbers re-based from
+        #: the per-shard reports).
+        report: object,
+        plan: ShardPlan,
+        #: Shards whose results were loaded from per-shard checkpoints.
+        resumed_shards: int = 0,
+        #: Shards dropped by a ``skip``-escalation supervision policy.
+        skipped_shards: int = 0,
+        #: Total serialized partial payload shipped back to the driver.
+        partial_bytes: int = 0,
+    ) -> None:
+        self._init(
+            state, report, plan, resumed_shards, skipped_shards,
+            partial_bytes,
+        )
 
     @property
     def shard_count(self) -> int:
@@ -602,6 +645,8 @@ def _shard_checkpoint_dir(checkpoint, path) -> str:
     the full parameter set, so the name only has to be distinct per
     file.
     """
+    import hashlib  # only checkpointed sharded runs need it
+
     digest = hashlib.sha256(os.fspath(path).encode("utf-8")).hexdigest()[:16]
     return os.path.join(f"{os.fspath(checkpoint)}.shards", digest)
 

@@ -20,7 +20,6 @@ public API speaks frozensets regardless of representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
     FrozenSet,
@@ -33,14 +32,14 @@ from typing import (
 
 from repro.engine.instrument import counters
 from repro.entities.keyset import KeySetUniverse, bitset_enabled, encode_all
+from repro.records import Record
 
 #: A feature set: record keys (strings) or record paths (tuples),
 #: depending on the configured feature mode.  Any hashable works.
 KeySet = FrozenSet
 
 
-@dataclass
-class EntityCluster:
+class EntityCluster(Record):
     """One discovered entity: a seed key-set and its member key-sets.
 
     ``maximal`` is the entity's maximal element — every member is a
@@ -55,10 +54,19 @@ class EntityCluster:
     the clustering entry point was given multiplicities.
     """
 
-    maximal: KeySet
-    members: List[KeySet] = field(default_factory=list)
-    synthesized: bool = False
-    member_counts: Optional[List[int]] = None
+    __slots__ = ("maximal", "members", "synthesized", "member_counts")
+
+    def __init__(
+        self,
+        maximal: KeySet,
+        members: Optional[List[KeySet]] = None,
+        synthesized: bool = False,
+        member_counts: Optional[List[int]] = None,
+    ) -> None:
+        self.maximal = maximal
+        self.members = [] if members is None else members
+        self.synthesized = synthesized
+        self.member_counts = member_counts
 
     @property
     def size(self) -> int:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.jsontypes.paths import Path, ROOT, STAR
 from repro.jsontypes.types import ArrayType, JsonType, ObjectType
+from repro.records import Record
 
 #: A feature vector: the set of (generalized) paths present in a record.
 FeatureVector = FrozenSet[Path]
@@ -76,14 +76,14 @@ def top_level_key_set(tau: ObjectType) -> FrozenSet[str]:
     return tau.key_set()
 
 
-@dataclass
-class FeatureVectorSet:
+class FeatureVectorSet(Record):
     """A compacted bag of feature vectors with multiplicities."""
 
-    counts: Counter
-    _vocabulary: Optional[Tuple[Path, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("counts", "_vocabulary")
+
+    def __init__(self, counts: Counter) -> None:
+        self.counts = counts
+        self._vocabulary: Optional[Tuple[Path, ...]] = None
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[FeatureVector]) -> "FeatureVectorSet":
@@ -175,16 +175,27 @@ def extract_feature_vectors(
     return FeatureVectorSet.from_vectors(vectors)
 
 
-@dataclass
-class FeatureMemoryProfile:
+class FeatureMemoryProfile(Record):
     """Figure 5's comparison for one dataset."""
 
-    sparse_bytes: int
-    dense_bytes: int
-    pruned_sparse_bytes: int
-    pruned_dense_bytes: int
-    distinct_vectors: int
-    pruned_distinct_vectors: int
+    __slots__ = (
+        "sparse_bytes", "dense_bytes", "pruned_sparse_bytes",
+        "pruned_dense_bytes", "distinct_vectors", "pruned_distinct_vectors",
+    )
+
+    def __init__(
+        self,
+        sparse_bytes: int,
+        dense_bytes: int,
+        pruned_sparse_bytes: int,
+        pruned_dense_bytes: int,
+        distinct_vectors: int,
+        pruned_distinct_vectors: int,
+    ) -> None:
+        self._init(
+            sparse_bytes, dense_bytes, pruned_sparse_bytes,
+            pruned_dense_bytes, distinct_vectors, pruned_distinct_vectors,
+        )
 
     def rows(self) -> List[Tuple[str, int]]:
         return [

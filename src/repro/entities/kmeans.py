@@ -28,10 +28,10 @@ time and memory, which were half of a ``discover`` process's start-up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.entities.keyset import KeySetUniverse, iter_bits
+from repro.records import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,14 +39,19 @@ if TYPE_CHECKING:
 KeySet = FrozenSet[str]
 
 
-@dataclass
-class KMeansResult:
+class KMeansResult(Record):
     """Labels plus the fitted centroids and key vocabulary."""
 
-    labels: np.ndarray
-    centroids: np.ndarray
-    vocabulary: Tuple[str, ...]
-    inertia: float
+    __slots__ = ("labels", "centroids", "vocabulary", "inertia")
+
+    def __init__(
+        self,
+        labels: np.ndarray,
+        centroids: np.ndarray,
+        vocabulary: Tuple[str, ...],
+        inertia: float,
+    ) -> None:
+        self._init(labels, centroids, vocabulary, inertia)
 
     @property
     def k(self) -> int:

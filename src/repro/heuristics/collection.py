@@ -31,12 +31,12 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.similarity import SimilarityAccumulator
 from repro.jsontypes.types import ArrayType, JsonType, ObjectType
+from repro.records import Record
 
 #: The key-space entropy threshold used throughout the paper's
 #: experiments ("Our experiments arbitrarily use a threshold of 1").
@@ -87,8 +87,7 @@ def length_entropy(
     return shannon_entropy(length_counts.values(), record_count)
 
 
-@dataclass
-class CollectionEvidence:
+class CollectionEvidence(Record):
     """Mergeable statistics for one complex-kinded path.
 
     Accumulates everything the detection decision needs: instance
@@ -97,23 +96,37 @@ class CollectionEvidence:
     a similarity accumulator over nested element types.
     """
 
-    kind: Kind
-    record_count: int = 0
-    key_counts: Counter = field(default_factory=Counter)
-    length_counts: Counter = field(default_factory=Counter)
-    mixed_kinds: bool = False
-    similarity: SimilarityAccumulator = field(
-        default_factory=SimilarityAccumulator
+    __slots__ = (
+        "kind", "record_count", "key_counts", "length_counts",
+        "mixed_kinds", "similarity",
     )
+
+    def __init__(
+        self,
+        kind: Kind,
+        record_count: int = 0,
+        key_counts: Optional[Counter] = None,
+        length_counts: Optional[Counter] = None,
+        mixed_kinds: bool = False,
+        similarity: Optional[SimilarityAccumulator] = None,
+    ) -> None:
+        self.kind = kind
+        self.record_count = record_count
+        self.key_counts = Counter() if key_counts is None else key_counts
+        self.length_counts = (
+            Counter() if length_counts is None else length_counts
+        )
+        self.mixed_kinds = mixed_kinds
+        self.similarity = (
+            SimilarityAccumulator() if similarity is None else similarity
+        )
 
     @classmethod
     def with_depth(
         cls, kind: Kind, similarity_depth: "Optional[int]" = None
     ) -> "CollectionEvidence":
         """Evidence whose similarity check is depth-bounded."""
-        evidence = cls(kind)
-        evidence.similarity = SimilarityAccumulator(similarity_depth)
-        return evidence
+        return cls(kind, similarity=SimilarityAccumulator(similarity_depth))
 
     def add(self, tau: JsonType, count: int = 1) -> None:
         """Fold one object- or array-kinded type into the evidence.

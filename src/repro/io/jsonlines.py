@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import gzip
 import json
-from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import DatasetError
 from repro.jsontypes.types import JsonValue
+from repro.records import FrozenRecord, Record
 
 PathLike = Union[str, FsPath]
 
@@ -65,33 +65,49 @@ BAD_PAYLOAD_LIMIT = 160
 _BOM_BYTES = b"\xef\xbb\xbf"
 
 
-@dataclass(frozen=True)
-class BadRecord:
+class BadRecord(FrozenRecord):
     """One malformed line: where it was and why it failed."""
 
-    #: 1-based line number in the file.
-    line_number: int
-    #: Byte offset of the line's first byte in the decompressed stream.
-    byte_offset: int
-    #: What the parser objected to.
-    error: str
-    #: The offending line, truncated to :data:`BAD_PAYLOAD_LIMIT`
-    #: characters (empty under the ``skip`` policy, which does not
-    #: retain payloads).
-    payload: str = ""
+    __slots__ = ("line_number", "byte_offset", "error", "payload")
+
+    def __init__(
+        self,
+        #: 1-based line number in the file.
+        line_number: int,
+        #: Byte offset of the line's first byte in the decompressed
+        #: stream.
+        byte_offset: int,
+        #: What the parser objected to.
+        error: str,
+        #: The offending line, truncated to :data:`BAD_PAYLOAD_LIMIT`
+        #: characters (empty under the ``skip`` policy, which does not
+        #: retain payloads).
+        payload: str = "",
+    ) -> None:
+        self._init(line_number, byte_offset, error, payload)
 
 
-@dataclass
-class IngestReport:
+class IngestReport(Record):
     """Per-file account of an ingestion run."""
 
-    path: str
-    policy: str = "raise"
-    #: Lines seen, including blank and malformed ones.
-    total_lines: int = 0
-    #: Well-formed records yielded.
-    record_count: int = 0
-    bad_records: List[BadRecord] = field(default_factory=list)
+    __slots__ = (
+        "path", "policy", "total_lines", "record_count", "bad_records",
+    )
+
+    def __init__(
+        self,
+        path: str,
+        policy: str = "raise",
+        #: Lines seen, including blank and malformed ones.
+        total_lines: int = 0,
+        #: Well-formed records yielded.
+        record_count: int = 0,
+        bad_records: Optional[List[BadRecord]] = None,
+    ) -> None:
+        self._init(
+            path, policy, total_lines, record_count,
+            [] if bad_records is None else bad_records,
+        )
 
     @property
     def bad_count(self) -> int:

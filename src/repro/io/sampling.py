@@ -9,8 +9,9 @@ that protocol explicit and deterministic under seeds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple, TypeVar
+
+from repro.records import Record
 
 T = TypeVar("T")
 
@@ -44,12 +45,13 @@ def uniform_sample(
     return [records[i] for i in chosen]
 
 
-@dataclass
-class TrainTestSplit:
+class TrainTestSplit(Record):
     """A train/test partition of a record collection."""
 
-    train: List
-    test: List
+    __slots__ = ("train", "test")
+
+    def __init__(self, train: List, test: List) -> None:
+        self._init(train, test)
 
     @property
     def train_size(self) -> int:

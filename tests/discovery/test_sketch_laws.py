@@ -665,3 +665,10 @@ def test_monoid_laws_cover_every_sketch_class():
 
     assert set(SKETCH_CLASSES) == set(Sketch.__subclasses__())
     assert all(not cls.__subclasses__() for cls in SKETCH_CLASSES)
+
+
+def test_sketches_hash_with_hashlibs_blake2b():
+    """The module takes ``blake2b`` from ``_blake2``, so importing it
+    loads no OpenSSL; it must be the class ``hashlib`` exports, or a
+    sketch's bits would change."""
+    assert sketches.blake2b is hashlib.blake2b

@@ -26,6 +26,8 @@ from repro.engine.sharding import (
     MIN_SHARD_BYTES,
     SHARDS_PER_WORKER,
     ShardCoordinator,
+    ShardResult,
+    _run_shard,
     default_shard_count,
     discover_sharded,
     plan_shards,
@@ -169,6 +171,23 @@ class TestRangedReads:
         ]
 
 
+def _noted_shard(task):
+    """A worker body that attaches an extra attribute to its result."""
+    result = _run_shard(task)
+    result.note = ("shard", task.index)
+    return result
+
+
+class NotingCoordinator(ShardCoordinator):
+    """Collects the notes its shards send back, the way a tracing
+    harness brings a shard's spans home."""
+
+    def map_shards(self, fn, tasks):
+        results = self.executor.map_list(_noted_shard, tasks)
+        self.notes = [result.__dict__.pop("note") for result in results]
+        return results
+
+
 class TestCoordinator:
     @pytest.mark.parametrize("algorithm", ["l-reduce", "k-reduce", "jxplain"])
     def test_state_bytes_match_serial(self, corpus, algorithm):
@@ -189,6 +208,28 @@ class TestCoordinator:
         assert result.state.to_bytes() == serial_state_bytes(
             corpus, "jxplain"
         )
+
+    def test_a_result_carries_extra_attributes_across_processes(
+        self, corpus
+    ):
+        executor = ProcessExecutor(2)
+        try:
+            coordinator = NotingCoordinator(
+                "jxplain", executor=executor, shards=2
+            )
+            result = coordinator.run(corpus)
+        finally:
+            executor.close()
+        assert coordinator.notes == [("shard", 0), ("shard", 1)]
+        assert result.state.to_bytes() == serial_state_bytes(
+            corpus, "jxplain"
+        )
+
+    def test_extra_attributes_stay_outside_equality_and_repr(self):
+        first = ShardResult(0, b"state", None)
+        second = ShardResult(0, b"state", None)
+        first.note = "extra"
+        assert first == second and repr(first) == repr(second)
 
     def test_merge_fanin_must_be_at_least_two(self):
         with pytest.raises(EngineError):

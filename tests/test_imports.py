@@ -6,8 +6,12 @@ only for ``generate``/``datasets``, and validation only for
 ``validate``/``diff``; no route loads
 ``multiprocessing`` or a process pool, since the process backend forks
 its own children, and none maps its input with ``mmap``, since every
-reader streams one buffered handle.  Each check runs in a fresh
-interpreter, since this test process has imported all of them already.
+reader streams one buffered handle.  No route generates code either:
+the record classes are plain slotted classes (:mod:`repro.records`), so
+neither ``dataclasses`` nor the ``inspect`` stack behind it loads, and
+the sketches hash with ``_blake2``, so OpenSSL (``_hashlib``) stays
+out.  Each check runs in a fresh interpreter, since this test process
+has imported all of them already.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ NOT_LOADED = (
     "concurrent.futures",
     "concurrent.futures.process",
     "mmap",
+    "dataclasses",
+    "inspect",
+    "_hashlib",
 )
 
 
