@@ -22,8 +22,17 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.discovery import EntityStrategy
+# What a default ``discover`` runs, and nothing else: every other
+# subsystem is imported by the code that runs it (tests/test_imports.py).
+from repro.discovery import (
+    EntityStrategy,
+    JxplainConfig,
+    JxplainMerger,
+    load_state,
+    state_for_algorithm,
+)
 from repro.discovery.state import ALGORITHM_NAMES
+from repro.engine.sharding import absorb_files, save_checkpoint
 from repro.errors import ReproError
 from repro.io.jsonlines import (
     INGEST_MODES,
@@ -31,12 +40,7 @@ from repro.io.jsonlines import (
     ingest_jsonlines,
     write_jsonlines,
 )
-from repro.schema import (
-    from_json_schema,
-    render,
-    schema_entropy,
-    to_json_schema,
-)
+from repro.schema import from_json_schema, render, to_json_schema
 
 #: The names :func:`repro.datasets.dataset_names` lists, for the
 #: ``generate`` help text.  The parser is built on every call to
@@ -344,14 +348,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     saved, so a killed run resumes from its completed shards.
     ``--ingest`` only picks the reader.
     """
-    from repro.discovery import (
-        JxplainConfig,
-        JxplainMerger,
-        load_state,
-        state_for_algorithm,
-    )
-    from repro.engine.sharding import absorb_files, save_checkpoint
-
     overrides = _discover_overrides(args)
     if args.shards is None and (
         args.workers is not None or args.merge_fanin is not None
@@ -474,6 +470,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
+    from repro.schema import schema_entropy
+
     with open(args.schema, encoding="utf-8") as handle:
         schema = from_json_schema(json.load(handle))
     value = schema_entropy(

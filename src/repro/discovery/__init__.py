@@ -20,130 +20,81 @@
   synthesizing ``if/then``/``oneOf`` tagged unions.
 """
 
-from repro.discovery.base import (
-    Discoverer,
-    FunctionDiscoverer,
-    discoverer_names,
-    make_discoverer,
-    register_discoverer,
-)
-from repro.discovery.config import (
-    BIMAX_MERGE_CONFIG,
-    BIMAX_NAIVE_CONFIG,
-    EntityStrategy,
-    FeatureMode,
-    JxplainConfig,
-    RobustnessConfig,
-)
-from repro.discovery.coref import (
-    CoReference,
-    find_coreferences,
-    unify_coreferences,
-)
-from repro.discovery.fold import DecidedFolder, FoldNode
-from repro.discovery.jxplain import (
-    Jxplain,
-    JxplainMerger,
-    JxplainNaive,
-    cluster_key_sets,
-    jxplain_merge,
-)
-from repro.discovery.kreduce import (
-    KReduce,
-    merge_array_coll,
-    merge_k,
-    merge_k_schemas,
-    merge_object_tuple,
-)
-from repro.discovery.lreduce import LReduce, merge_naive
-from repro.discovery.pipeline import (
-    JxplainPipeline,
-    PipelineMerger,
-    PipelineResult,
-    TupleShapes,
-    build_partitioners,
-)
-from repro.discovery.sketches import (
-    EnrichmentOptions,
-    EnrichmentState,
-    parse_enrich_spec,
-)
-from repro.discovery.state import (
-    DiscoveryState,
-    JxplainState,
-    KReduceState,
-    LReduceState,
-    load_state,
-    save_state,
-    state_for_algorithm,
-)
-from repro.discovery.tagged_unions import (
-    TaggedUnionConfig,
-    TaggedUnionDecision,
-    extract_tagged_unions,
-    tagged_union_json_schema,
-)
-from repro.discovery.stat_tree import (
-    CollectionDecisions,
-    PathEntropy,
-    StatTree,
-    collection_paths,
-    decide_collections,
-    entropy_profile,
-)
+from repro import _lazy
 
-__all__ = [
-    "BIMAX_MERGE_CONFIG",
-    "BIMAX_NAIVE_CONFIG",
-    "CoReference",
-    "CollectionDecisions",
-    "DecidedFolder",
-    "Discoverer",
-    "DiscoveryState",
-    "EnrichmentOptions",
-    "EnrichmentState",
-    "EntityStrategy",
-    "FeatureMode",
-    "FoldNode",
-    "FunctionDiscoverer",
-    "Jxplain",
-    "JxplainConfig",
-    "JxplainMerger",
-    "JxplainNaive",
-    "JxplainPipeline",
-    "JxplainState",
-    "KReduce",
-    "KReduceState",
-    "LReduce",
-    "LReduceState",
-    "PathEntropy",
-    "PipelineMerger",
-    "PipelineResult",
-    "RobustnessConfig",
-    "StatTree",
-    "TaggedUnionConfig",
-    "TaggedUnionDecision",
-    "TupleShapes",
-    "build_partitioners",
-    "cluster_key_sets",
-    "collection_paths",
-    "decide_collections",
-    "discoverer_names",
-    "entropy_profile",
-    "extract_tagged_unions",
-    "find_coreferences",
-    "unify_coreferences",
-    "jxplain_merge",
-    "parse_enrich_spec",
-    "tagged_union_json_schema",
-    "load_state",
-    "make_discoverer",
-    "merge_array_coll",
-    "merge_k",
-    "merge_k_schemas",
-    "merge_naive",
-    "merge_object_tuple",
-    "register_discoverer",
-    "save_state",
-    "state_for_algorithm",
-]
+__all__, __getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "repro.discovery.base": (
+            "Discoverer",
+            "FunctionDiscoverer",
+            "discoverer_names",
+            "make_discoverer",
+            "register_discoverer",
+        ),
+        "repro.discovery.config": (
+            "BIMAX_MERGE_CONFIG",
+            "BIMAX_NAIVE_CONFIG",
+            "EntityStrategy",
+            "FeatureMode",
+            "JxplainConfig",
+            "RobustnessConfig",
+        ),
+        "repro.discovery.coref": (
+            "CoReference",
+            "find_coreferences",
+            "unify_coreferences",
+        ),
+        "repro.discovery.fold": ("DecidedFolder", "FoldNode"),
+        "repro.discovery.jxplain": (
+            "Jxplain",
+            "JxplainMerger",
+            "JxplainNaive",
+            "cluster_key_sets",
+            "jxplain_merge",
+        ),
+        "repro.discovery.kreduce": (
+            "KReduce",
+            "merge_array_coll",
+            "merge_k",
+            "merge_k_schemas",
+            "merge_object_tuple",
+        ),
+        "repro.discovery.lreduce": ("LReduce", "merge_naive"),
+        "repro.discovery.pipeline": (
+            "JxplainPipeline",
+            "PipelineMerger",
+            "PipelineResult",
+            "TupleShapes",
+            "build_partitioners",
+        ),
+        "repro.discovery.sketches": (
+            "EnrichmentOptions",
+            "EnrichmentState",
+            "parse_enrich_spec",
+        ),
+        "repro.discovery.state": (
+            "DiscoveryState",
+            "JxplainState",
+            "KReduceState",
+            "LReduceState",
+            "load_state",
+            "save_state",
+            "state_for_algorithm",
+        ),
+        "repro.discovery.tagged_unions": (
+            "TaggedUnionConfig",
+            "TaggedUnionDecision",
+            "extract_tagged_unions",
+            "tagged_union_json_schema",
+        ),
+        "repro.discovery.stat_tree": (
+            "CollectionDecisions",
+            "PathEntropy",
+            "StatTree",
+            "collection_paths",
+            "decide_collections",
+            "entropy_profile",
+        ),
+    },
+)

@@ -9,6 +9,7 @@ sweep them uniformly.
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Callable, Dict, Iterable, List
 
 from repro.errors import EmptyInputError
@@ -55,6 +56,22 @@ class FunctionDiscoverer(Discoverer):
 
 _REGISTRY: Dict[str, Callable[[], Discoverer]] = {}
 
+#: The modules whose import registers the built-in discoverers.  The
+#: package loads them on first use, so the registry imports them
+#: before every lookup.
+_BUILTIN_MODULES = (
+    "repro.discovery.jxplain",
+    "repro.discovery.kreduce",
+    "repro.discovery.lreduce",
+    "repro.discovery.pipeline",
+)
+
+
+def _registry() -> Dict[str, Callable[[], Discoverer]]:
+    for module in _BUILTIN_MODULES:
+        import_module(module)
+    return _REGISTRY
+
 
 def register_discoverer(name: str, factory: Callable[[], Discoverer]) -> None:
     """Register a discoverer factory under a CLI-friendly name."""
@@ -63,14 +80,15 @@ def register_discoverer(name: str, factory: Callable[[], Discoverer]) -> None:
 
 def make_discoverer(name: str) -> Discoverer:
     """Instantiate a registered discoverer by name."""
+    registry = _registry()
     try:
-        factory = _REGISTRY[name]
+        factory = registry[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(registry))
         raise KeyError(f"unknown discoverer {name!r}; known: {known}")
     return factory()
 
 
 def discoverer_names() -> List[str]:
     """All registered discoverer names, sorted."""
-    return sorted(_REGISTRY)
+    return sorted(_registry())

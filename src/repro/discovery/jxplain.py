@@ -42,7 +42,7 @@ from repro.discovery.config import (
     JxplainConfig,
     bimax_naive_config,
 )
-from repro.engine.executor import resolve_executor
+from repro.discovery import stat_tree
 from repro.engine.instrument import counters
 from repro.jsontypes.bag import TypeBag, as_bag
 from repro.entities.bimax import (
@@ -51,7 +51,7 @@ from repro.entities.bimax import (
     distinct_key_sets,
 )
 from repro.entities.greedy_merge import merge_to_fixpoint, greedy_merge
-from repro.entities.kmeans import kmeans_clusters
+from repro.entities.features import type_paths
 from repro.entities.partitioner import EntityPartitioner
 from repro.errors import EmptyInputError, RecursionDepthError
 from repro.heuristics.collection import (
@@ -115,6 +115,8 @@ def cluster_key_sets(
     if strategy is EntityStrategy.BIMAX_MERGE:
         return merge_to_fixpoint(greedy_merge(naive))
     if strategy is EntityStrategy.KMEANS:
+        from repro.entities.kmeans import kmeans_clusters
+
         k = config.kmeans_k if config.kmeans_k is not None else len(naive)
         k = min(k, len(distinct))
         kmeans_weights = (
@@ -202,9 +204,11 @@ class JxplainMerger:
     ):
         self.config = config or JxplainConfig()
         self.config.validate()
-        self._executor = (
-            resolve_executor(executor) if executor is not None else None
-        )
+        self._executor = None
+        if executor is not None:
+            from repro.engine.executor import resolve_executor
+
+            self._executor = resolve_executor(executor)
 
     def __getstate__(self) -> dict:
         # The merger crosses the process boundary inside per-entity
@@ -261,22 +265,15 @@ class JxplainMerger:
         """
         if self.config.feature_mode is FeatureMode.KEYS:
             return [tau.key_set() for tau in objects]
-        # Imported here to avoid a cycle: stat_tree uses this module's
-        # sibling config only.
-        from repro.discovery.stat_tree import (
-            StatTree,
-            collection_paths,
-            decide_collections,
-        )
-        from repro.entities.features import type_paths
-
-        tree = StatTree.from_types(
+        # Through the module, so a patched ``decide_collections`` is
+        # the one that runs.
+        tree = stat_tree.StatTree.from_types(
             objects,
             similarity_depth=self.config.similarity_depth,
             counts=counts,
         )
-        local_decisions = decide_collections(tree, self.config)
-        nested_collections = collection_paths(local_decisions)
+        local_decisions = stat_tree.decide_collections(tree, self.config)
+        nested_collections = stat_tree.collection_paths(local_decisions)
         return [
             type_paths(
                 tau,

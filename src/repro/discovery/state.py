@@ -29,12 +29,9 @@ resume/append capability.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.discovery import codec
-from repro.discovery.codec import Decoder, Encoder
 from repro.discovery.config import JxplainConfig, bimax_naive_config
-from repro.discovery.sketches import EnrichmentState, parse_enrich_spec
 from repro.engine.instrument import counters
 from repro.errors import CheckpointError, EmptyInputError, StateCodecError
 from repro.jsontypes.bag import CountedBag
@@ -45,6 +42,10 @@ from repro.schema.nodes import (
     exact_schema,
     union_of,
 )
+
+if TYPE_CHECKING:
+    from repro.discovery.codec import Decoder, Encoder
+    from repro.discovery.sketches import EnrichmentState
 
 #: Payload-kind prefix of every serialized state.
 STATE_KIND_PREFIX = "state:"
@@ -170,7 +171,9 @@ class DiscoveryState:
     # -- serialization --------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        enc = Encoder()
+        from repro.discovery import codec
+
+        enc = codec.Encoder()
         self._write_body(enc)
         enc.w.boolean(self.enrichment is not None)
         if self.enrichment is not None:
@@ -185,11 +188,15 @@ class DiscoveryState:
         ``DiscoveryState.from_bytes`` decodes any algorithm's state;
         on a subclass the payload must match that algorithm.
         """
+        from repro.discovery import codec
+
         if cls is DiscoveryState:
-            dec = Decoder(data)
+            dec = codec.Decoder(data)
             target = _state_class_for_kind(dec.kind)
         else:
-            dec = Decoder(data, expect_kind=STATE_KIND_PREFIX + cls.algorithm)
+            dec = codec.Decoder(
+                data, expect_kind=STATE_KIND_PREFIX + cls.algorithm
+            )
             target = cls
         state = target._read_body(dec)
         if dec.r.boolean():
@@ -264,10 +271,14 @@ class BagState(DiscoveryState):
         return tau in self.bag
 
     def _write_body(self, enc: Encoder) -> None:
+        from repro.discovery import codec
+
         codec.write_bag(enc, self.bag)
 
     @classmethod
     def _read_body(cls, dec: Decoder) -> "BagState":
+        from repro.discovery import codec
+
         state = cls()
         state.bag = codec.read_bag(dec)
         return state
@@ -342,11 +353,15 @@ class KReduceState(DiscoveryState):
         return self._count
 
     def _write_body(self, enc: Encoder) -> None:
+        from repro.discovery import codec
+
         enc.w.uvarint(self._count)
         codec.write_schema(enc, self._schema)
 
     @classmethod
     def _read_body(cls, dec: Decoder) -> "KReduceState":
+        from repro.discovery import codec
+
         state = cls()
         state._count = dec.r.uvarint()
         state._schema = codec.read_schema(dec)
@@ -443,11 +458,15 @@ class JxplainState(BagState):
         return self.synthesize_result()[0]
 
     def _write_body(self, enc: Encoder) -> None:
+        from repro.discovery import codec
+
         codec.write_config(enc, self.config)
         super()._write_body(enc)
 
     @classmethod
     def _read_body(cls, dec: Decoder) -> "JxplainState":
+        from repro.discovery import codec
+
         state = cls(codec.read_config(dec))
         state.bag = codec.read_bag(dec)
         if dec.version == 2:
@@ -496,9 +515,13 @@ def state_for_algorithm(
     ``enrich`` — ``None``, a ``--enrich`` spec string like
     ``"sketches,unions"``, or an
     :class:`~repro.discovery.sketches.EnrichmentOptions` — attaches a
-    value-domain enrichment sidecar to the state.
+    value-domain enrichment sidecar to the state; the sketches load
+    only then.
     """
-    options = parse_enrich_spec(enrich)
+    if enrich is not None:
+        from repro.discovery.sketches import EnrichmentState, parse_enrich_spec
+
+        options = parse_enrich_spec(enrich)
     if name == "l-reduce":
         if config is not None:
             raise ValueError("l-reduce takes no configuration")
@@ -516,7 +539,7 @@ def state_for_algorithm(
             f"unknown algorithm {name!r}; known: "
             + ", ".join(ALGORITHM_NAMES)
         )
-    if options is not None:
+    if enrich is not None:
         state.enrichment = EnrichmentState(options)
     return state
 

@@ -2,82 +2,52 @@
 Spark stand-in: a map over byte-range shards, then a tree merge of
 states)."""
 
-from repro.engine.executor import (
-    Executor,
-    ON_FAILURE_MODES,
-    ProcessExecutor,
-    RetryPolicy,
-    SerialExecutor,
-    ThreadExecutor,
-    default_executor,
-    executor_names,
-    resolve_executor,
-    retry_delay,
-    set_default_executor,
-)
-from repro.engine.faults import (
-    FAULTS_ENV_VAR,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    active_fault_plan,
-    clear_fault_plan,
-    current_stage,
-    install_fault_plan,
-    stage_scope,
-)
-from repro.engine.instrument import (
-    Counters,
-    StageTimer,
-    counters,
-    deep_size_bytes,
-    perf_counters,
-    reset_perf_counters,
-)
-from repro.engine.sharding import (
-    DEFAULT_MERGE_FANIN,
-    ShardCoordinator,
-    ShardPlan,
-    ShardRunResult,
-    ShardTask,
-    default_shard_count,
-    discover_sharded,
-    plan_shards,
-)
+from repro import _lazy
 
-__all__ = [
-    "Counters",
-    "DEFAULT_MERGE_FANIN",
-    "Executor",
-    "FAULTS_ENV_VAR",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "ON_FAILURE_MODES",
-    "ProcessExecutor",
-    "RetryPolicy",
-    "SerialExecutor",
-    "ShardCoordinator",
-    "ShardPlan",
-    "ShardRunResult",
-    "ShardTask",
-    "StageTimer",
-    "ThreadExecutor",
-    "active_fault_plan",
-    "clear_fault_plan",
-    "counters",
-    "current_stage",
-    "deep_size_bytes",
-    "default_executor",
-    "default_shard_count",
-    "discover_sharded",
-    "executor_names",
-    "install_fault_plan",
-    "perf_counters",
-    "plan_shards",
-    "reset_perf_counters",
-    "resolve_executor",
-    "retry_delay",
-    "set_default_executor",
-    "stage_scope",
-]
+__all__, __getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "repro.engine.executor": (
+            "Executor",
+            "ON_FAILURE_MODES",
+            "ProcessExecutor",
+            "RetryPolicy",
+            "SerialExecutor",
+            "ThreadExecutor",
+            "default_executor",
+            "executor_names",
+            "resolve_executor",
+            "retry_delay",
+            "set_default_executor",
+        ),
+        "repro.engine.faults": (
+            "FAULTS_ENV_VAR",
+            "FaultPlan",
+            "FaultSpec",
+            "InjectedFault",
+            "active_fault_plan",
+            "clear_fault_plan",
+            "current_stage",
+            "install_fault_plan",
+            "stage_scope",
+        ),
+        "repro.engine.instrument": (
+            "Counters",
+            "StageTimer",
+            "counters",
+            "deep_size_bytes",
+            "perf_counters",
+            "reset_perf_counters",
+        ),
+        "repro.engine.sharding": (
+            "DEFAULT_MERGE_FANIN",
+            "ShardCoordinator",
+            "ShardPlan",
+            "ShardRunResult",
+            "ShardTask",
+            "default_shard_count",
+            "discover_sharded",
+            "plan_shards",
+        ),
+    },
+)

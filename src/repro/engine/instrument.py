@@ -23,6 +23,8 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Tuple
 
+from repro.engine.faults import stage_scope
+
 
 class Counters:
     """A mergeable bag of named numeric counters.
@@ -131,8 +133,6 @@ class StageTimer:
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
-        from repro.engine.faults import stage_scope
-
         start = time.perf_counter()
         try:
             with stage_scope(name):

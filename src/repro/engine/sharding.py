@@ -64,10 +64,15 @@ import os
 import shutil
 from typing import List, Optional, Sequence, Tuple
 
-from repro.engine.executor import Executor, resolve_executor
+from typing import TYPE_CHECKING
+
 from repro.engine.instrument import StageTimer, counters
 from repro.errors import CheckpointError, EngineError
+from repro.io.fastpath import absorb_file
 from repro.records import FrozenRecord, Record
+
+if TYPE_CHECKING:
+    from repro.engine.executor import Executor
 
 #: Default merge fan-in for the driver-side partial tree.
 DEFAULT_MERGE_FANIN = 2
@@ -329,7 +334,6 @@ def _run_shard(task: ShardTask) -> ShardResult:
             return cached
 
     from repro.discovery.state import state_for_algorithm
-    from repro.io.fastpath import absorb_file
 
     before = _perf_snapshot()
     state = state_for_algorithm(
@@ -422,6 +426,7 @@ class ShardCoordinator:
         enrich=None,
     ) -> None:
         from repro.discovery.sketches import parse_enrich_spec
+        from repro.engine.executor import resolve_executor
         from repro.io.jsonlines import _check_ingest_mode, _check_policy
 
         _check_policy(on_bad_record)
@@ -678,8 +683,6 @@ def absorb_files(
     resumes from its completed shards; :func:`save_checkpoint`
     removes them once the merged state is saved.
     """
-    from repro.io.fastpath import absorb_file
-
     timer = timer if timer is not None else StageTimer()
     reports = []
     for path in paths:

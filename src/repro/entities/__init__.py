@@ -11,76 +11,55 @@ integer bitmasks (:mod:`repro.entities.keyset`) by default;
 frozenset implementations, and the two are cluster-identical.
 """
 
-from repro.entities.bimax import (
-    EntityCluster,
-    KeySet,
-    bimax_naive,
-    bimax_order,
-    block_boundaries,
-    distinct_key_sets,
-)
-from repro.entities.keyset import (
-    KeySetUniverse,
-    entity_representation,
-    iter_bits,
-    set_entity_representation,
-)
-from repro.entities.features import (
-    FeatureMemoryProfile,
-    FeatureVector,
-    FeatureVectorSet,
-    extract_feature_vectors,
-    feature_memory_profile,
-    top_level_key_set,
-    type_paths,
-)
-from repro.entities.greedy_merge import (
-    bimax_merge,
-    greedy_merge,
-    merge_to_fixpoint,
-)
-from repro.entities.kmeans import (
-    KMeansResult,
-    encode_key_sets,
-    kmeans_clusters,
-    kmeans_key_sets,
-)
-from repro.entities.partitioner import EntityPartitioner
-from repro.entities.set_cover import (
-    cover_exists,
-    greedy_set_cover,
-    greedy_set_cover_masks,
-    minimal_cover_size,
-)
+from repro import _lazy
 
-__all__ = [
-    "EntityCluster",
-    "EntityPartitioner",
-    "FeatureMemoryProfile",
-    "FeatureVector",
-    "FeatureVectorSet",
-    "KMeansResult",
-    "KeySet",
-    "KeySetUniverse",
-    "bimax_merge",
-    "bimax_naive",
-    "bimax_order",
-    "block_boundaries",
-    "cover_exists",
-    "distinct_key_sets",
-    "encode_key_sets",
-    "entity_representation",
-    "extract_feature_vectors",
-    "feature_memory_profile",
-    "greedy_merge",
-    "merge_to_fixpoint",
-    "greedy_set_cover",
-    "greedy_set_cover_masks",
-    "iter_bits",
-    "kmeans_clusters",
-    "kmeans_key_sets",
-    "minimal_cover_size",
-    "set_entity_representation",
-    "top_level_key_set",
-    "type_paths",
-]
+# Bound eagerly: the function shares its submodule's name, and
+# GreedyMerge is on every ``discover``'s path anyway.
+from repro.entities.greedy_merge import greedy_merge
+
+__all__, __getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "repro.entities.bimax": (
+            "EntityCluster",
+            "KeySet",
+            "bimax_naive",
+            "bimax_order",
+            "block_boundaries",
+            "distinct_key_sets",
+        ),
+        "repro.entities.keyset": (
+            "KeySetUniverse",
+            "entity_representation",
+            "iter_bits",
+            "set_entity_representation",
+        ),
+        "repro.entities.features": (
+            "FeatureMemoryProfile",
+            "FeatureVector",
+            "FeatureVectorSet",
+            "extract_feature_vectors",
+            "feature_memory_profile",
+            "top_level_key_set",
+            "type_paths",
+        ),
+        "repro.entities.greedy_merge": (
+            "bimax_merge",
+            "greedy_merge",
+            "merge_to_fixpoint",
+        ),
+        "repro.entities.kmeans": (
+            "KMeansResult",
+            "encode_key_sets",
+            "kmeans_clusters",
+            "kmeans_key_sets",
+        ),
+        "repro.entities.partitioner": ("EntityPartitioner",),
+        "repro.entities.set_cover": (
+            "cover_exists",
+            "greedy_set_cover",
+            "greedy_set_cover_masks",
+            "minimal_cover_size",
+        ),
+    },
+)

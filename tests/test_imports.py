@@ -10,8 +10,14 @@ reader streams one buffered handle.  No route generates code either:
 the record classes are plain slotted classes (:mod:`repro.records`), so
 neither ``dataclasses`` nor the ``inspect`` stack behind it loads, and
 the sketches hash with ``_blake2``, so OpenSSL (``_hashlib``) stays
-out.  Each check runs in a fresh interpreter, since this test process
-has imported all of them already.
+out.  Nor does it load a subsystem that only an opted-in run needs
+(:data:`DEFERRED`): the package ``__init__``s serve their public names
+on first use (:mod:`repro._lazy`), and the codec, the sketches, the
+process backend, the staged synthesis and the baselines are imported
+by the code that runs them.  A default ``discover`` then imports
+nothing beyond the CLI's own import but argparse's ``locale``.  Each
+check runs in a fresh interpreter, since this test process has
+imported all of them already.
 """
 
 from __future__ import annotations
@@ -44,6 +50,42 @@ NOT_LOADED = (
     "_hashlib",
 )
 
+#: Modules that only an opted-in route runs (a checkpoint, shards,
+#: ``--enrich``, another algorithm or strategy, another subcommand):
+#: neither ``import repro.cli`` nor a default ``discover`` loads them.
+DEFERRED = (
+    "pickle",
+    "select",
+    "signal",
+    "base64",
+    "repro.engine.executor",
+    "repro.discovery.codec",
+    "repro.discovery.sketches",
+    "repro.discovery.pipeline",
+    "repro.discovery.fold",
+    "repro.discovery.kreduce",
+    "repro.discovery.lreduce",
+    "repro.discovery.tagged_unions",
+    "repro.discovery.coref",
+    "repro.entities.kmeans",
+    "repro.io.sampling",
+    "repro.schema.enrich",
+    "repro.schema.docgen",
+    "repro.schema.subsume",
+    "repro.schema.sample",
+)
+
+#: The packages whose ``__init__`` serves its names on first use.
+PACKAGES = (
+    "repro",
+    "repro.discovery",
+    "repro.schema",
+    "repro.engine",
+    "repro.io",
+    "repro.entities",
+    "repro.jsontypes",
+)
+
 
 def _fresh(code: str):
     """Run ``code`` in a fresh interpreter; it prints one JSON value."""
@@ -56,12 +98,12 @@ def _fresh(code: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _loaded_after(statements: str) -> dict:
+def _loaded_after(statements: str, names=NOT_LOADED) -> dict:
     return _fresh(
         "import json, sys\n"
         f"{statements}\n"
         f"print(json.dumps({{name: name in sys.modules "
-        f"for name in {NOT_LOADED!r}}}))"
+        f"for name in {tuple(names)!r}}}))"
     )
 
 
@@ -98,6 +140,36 @@ def test_enriched_sharded_discover_leaves_numpy_unloaded(github_corpus):
     assert not any(loaded.values()), loaded
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_default_discover_leaves_the_deferred_subsystems_unloaded(
+    github_corpus, output
+):
+    statements = _discover(github_corpus).replace(
+        '"json"', repr(output), 1
+    )
+    loaded = _loaded_after(statements, DEFERRED)
+    assert not any(loaded.values()), loaded
+    assert not any(_loaded_after("import repro.cli", DEFERRED).values())
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_default_discover_imports_nothing_beyond_the_cli(
+    github_corpus, output
+):
+    # perfbench forks every operation from a process that imported the
+    # CLI: a module a default run imports late is paid in every run.
+    argv = ["discover", github_corpus, "--format", output,
+            "--output", os.devnull]
+    added = _fresh(
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "before = set(sys.modules)\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert set(added) <= {"locale", "_locale"}, added
+
+
 def test_kmeans_strategy_loads_numpy_on_demand(github_corpus):
     loaded = _loaded_after(_discover(github_corpus, "--strategy", "kmeans"))
     assert loaded["numpy"]
@@ -126,3 +198,51 @@ def test_generate_help_names_every_dataset():
         "print(json.dumps([list(_DATASET_NAMES), dataset_names()]))"
     )
     assert names[0] == names[1]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_package_name_resolves_lazily(package):
+    # In the import-only state every name is served through the
+    # package's __getattr__; then every module of the package loads,
+    # and each served name must be the object some module defines
+    # under that name (never a submodule shadowing it).
+    result = _fresh(
+        "import importlib, json, pkgutil, sys, types\n"
+        f"pkg = importlib.import_module({package!r})\n"
+        "namespace = {}\n"
+        f"exec('from {package} import *', namespace)\n"
+        "served = {name: getattr(pkg, name) for name in pkg.__all__}\n"
+        "star = sorted(n for n in namespace if n != '__builtins__')\n"
+        "try:\n"
+        "    pkg.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError:\n"
+        "    unknown = 'AttributeError'\n"
+        "for info in pkgutil.walk_packages(pkg.__path__, pkg.__name__ + '.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "modules = [m for n, m in list(sys.modules.items())\n"
+        "           if n.startswith(pkg.__name__ + '.')]\n"
+        "orphans = [name for name, value in served.items()\n"
+        "           if name != '__version__' and (\n"
+        "               isinstance(value, types.ModuleType)\n"
+        "               or not any(vars(m).get(name) is value for m in modules))]\n"
+        "shadowed = [name for name in pkg.__all__\n"
+        "            if isinstance(getattr(pkg, name), types.ModuleType)]\n"
+        "print(json.dumps([star == sorted(pkg.__all__), unknown,\n"
+        "                  orphans, shadowed]))"
+    )
+    assert result == [True, "AttributeError", [], []]
+
+
+def test_the_discoverer_registry_is_complete_in_a_fresh_interpreter():
+    result = _fresh(
+        "import json\n"
+        "from repro.discovery import discoverer_names, make_discoverer\n"
+        "names = discoverer_names()\n"
+        "print(json.dumps([names, make_discoverer('k-reduce').name]))"
+    )
+    assert result == [
+        ["bimax-merge", "bimax-naive", "jxplain-pipeline", "k-reduce",
+         "l-reduce"],
+        "k-reduce",
+    ]
