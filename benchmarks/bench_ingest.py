@@ -48,7 +48,7 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 INGEST_SIZES = {"github-4k": 4000, "github-200k": 200000}
 
 #: Executor backends for the end-to-end pipeline comparison.
-PIPELINE_BACKENDS = ("serial", "threads:4", "processes:4")
+PIPELINE_BACKENDS = ("serial", "processes:4")
 
 #: Gate thresholds on the large corpus, serial ingestion.
 SMOKE_SPEEDUP = 1.5

@@ -1,20 +1,18 @@
-"""Core performance bench for the dataflow backends + merge fast path.
+"""Core performance bench for the merge fast path.
 
 Times both extractors end-to-end — K-reduce as a one-pass bag fold
 into a :class:`~repro.discovery.state.KReduceState`, JXPLAIN as the
-recursive merger and as the staged three-pass pipeline — on the yelp/github/pharma synthetic datasets under four
-configurations:
+recursive merger and as the staged three-pass pipeline — on the
+yelp/github/pharma synthetic datasets under two configurations, both
+in one process (synthesis runs in the driver):
 
-* ``baseline``            — serial executor, list bags, interning and
-  the similarity cache off (the seed's behaviour);
+* ``baseline``            — list bags, interning and the similarity
+  cache off (the seed's behaviour);
 * ``optimized-serial``    — counted bags + interning + cached
-  similarity, still serial;
-* ``optimized-threads4``  — the same, with the pipeline's pass ②
-  fanned out on 4 threads;
-* ``optimized-processes4``— the same, on 4 processes (picklable tasks).
+  similarity.
 
 Results — timings, speedups versus baseline, intern/cache counters,
-distinct-type ratios, worker counts — are written machine-readably to
+distinct-type ratios — are written machine-readably to
 ``BENCH_PR1.json`` at the repo root and as text under
 ``benchmarks/results/``.  Schema identity across every configuration
 is asserted, and at full scale the run must show a ≥2x speedup for
@@ -36,7 +34,6 @@ from benchmarks.conftest import emit
 from repro.datasets import make_dataset
 from repro.discovery import Jxplain, JxplainPipeline
 from repro.discovery import KReduceState
-from repro.engine import resolve_executor
 from repro.engine.instrument import (
     counters,
     perf_counters,
@@ -56,12 +53,10 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 #: Multi-thousand-record corpora (scaled), the regime of Table 5.
 PERF_SIZES = {"yelp-merged": 4000, "github": 4000, "pharma": 4000}
 
-#: (name, executor spec, counted bags + interning + similarity cache)
+#: (name, counted bags + interning + similarity cache)
 MODES = [
-    ("baseline", "serial", False),
-    ("optimized-serial", "serial", True),
-    ("optimized-threads4", "threads:4", True),
-    ("optimized-processes4", "processes:4", True),
+    ("baseline", False),
+    ("optimized-serial", True),
 ]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -88,8 +83,7 @@ def _bench_dataset(name, size):
     records = make_dataset(name).generate(size, seed=17)
     schemas_k, schemas_j, schemas_p = {}, {}, {}
     modes = {}
-    for mode_name, spec, optimized in MODES:
-        executor = resolve_executor(spec)
+    for mode_name, optimized in MODES:
         _set_mode(optimized)
 
         start = time.perf_counter()
@@ -104,12 +98,9 @@ def _bench_dataset(name, size):
         jxplain_s = time.perf_counter() - start
 
         # The staged three-pass pipeline: the records are absorbed
-        # into a state, then passes ①–③ run once over it, with pass
-        # ②'s per-path clustering fanned out over the executor.
+        # into a state, then passes ①–③ run once over it.
         start = time.perf_counter()
-        schemas_p[mode_name] = JxplainPipeline(
-            executor=executor
-        ).run(records).schema
+        schemas_p[mode_name] = JxplainPipeline().run(records).schema
         pipeline_s = time.perf_counter() - start
 
         snapshot = perf_counters()
@@ -119,7 +110,6 @@ def _bench_dataset(name, size):
             "kreduce_s": round(kreduce_s, 4),
             "jxplain_s": round(jxplain_s, 4),
             "pipeline_s": round(pipeline_s, 4),
-            "workers": executor.workers,
             "distinct_type_ratio": round(distinct / total, 4) if total else None,
             "counters": {
                 key: value
@@ -158,8 +148,8 @@ def test_perf_core():
         "scale": SCALE,
         "cpu_count": os.cpu_count(),
         "modes": [
-            {"name": mode, "executor": spec, "optimized": optimized}
-            for mode, spec, optimized in MODES
+            {"name": mode, "optimized": optimized}
+            for mode, optimized in MODES
         ],
         "datasets": {},
     }
@@ -183,14 +173,13 @@ def test_perf_core():
 
     lines = [
         "dataset        mode                   kreduce_s  jxplain_s"
-        "  pipeline_s  workers",
+        "  pipeline_s",
     ]
     for name, data in report["datasets"].items():
         for mode_name, row in data["modes"].items():
             lines.append(
                 f"{name:<14} {mode_name:<22} {row['kreduce_s']:>9.3f}"
                 f"  {row['jxplain_s']:>9.3f}  {row['pipeline_s']:>10.3f}"
-                f"  {row['workers']:>7}"
             )
         lines.append(
             f"{name:<14} speedup (serial, optimized/baseline): "

@@ -434,9 +434,10 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         args.shards is not None or args.checkpoint or args.resume
         or args.append or args.enrich is not None
     )
-    if plain and args.algorithm in ("bimax-merge", "bimax-naive"):
-        # ROADMAP F12 / item 2(a): a plain bimax-* run keeps Algorithm
-        # 4's bytes until one synthesis serves every route.
+    if plain and args.algorithm in ("bimax-merge", "bimax-naive", "jxplain"):
+        # ROADMAP F12 / item 2(a): a plain bimax-* run (and ``jxplain``,
+        # bimax-merge's state name) keeps Algorithm 4's bytes until one
+        # synthesis serves every route.
         schema = JxplainMerger(state.config).merge(state.bag)
     else:
         schema = state.synthesize()

@@ -38,7 +38,6 @@ __all__, __getattr__, __dir__ = _lazy.lazy_exports(
             "EntityStrategy",
             "FeatureMode",
             "JxplainConfig",
-            "RobustnessConfig",
         ),
         "repro.discovery.coref": (
             "CoReference",

@@ -120,77 +120,6 @@ class JxplainConfig(FrozenRecord):
             raise ValueError("kmeans_k must be positive when set")
 
 
-class RobustnessConfig(FrozenRecord):
-    """Failure-model knobs for a discovery run (DESIGN.md §8).
-
-    Bundles the ingestion error-channel policy with the executor
-    supervision settings so a service configures fault tolerance in
-    one place.  The defaults are production-shaped: skip bad input
-    lines, retry failed tasks twice with exponential backoff, rescue
-    serially in the driver before giving up.
-    """
-
-    __slots__ = (
-        "on_bad_record", "max_retries", "task_timeout", "backoff_base",
-        "retry_seed", "on_failure",
-    )
-
-    def __init__(
-        self,
-        #: Ingestion policy: ``raise`` / ``skip`` / ``collect``.
-        on_bad_record: str = "skip",
-        #: Extra attempts per task after the first.
-        max_retries: int = 2,
-        #: Per-attempt deadline in seconds (pooled backends); None = none.
-        task_timeout: Optional[float] = None,
-        #: First backoff delay between attempts, in seconds.
-        backoff_base: float = 0.01,
-        #: Deterministic jitter seed for the backoff schedule.
-        retry_seed: int = 0,
-        #: Escalation after retries: ``raise`` / ``serial`` / ``skip``.
-        on_failure: str = "serial",
-    ) -> None:
-        self._init(
-            on_bad_record, max_retries, task_timeout, backoff_base,
-            retry_seed, on_failure,
-        )
-
-    def validate(self) -> None:
-        from repro.io.jsonlines import INGEST_POLICIES
-
-        if self.on_bad_record not in INGEST_POLICIES:
-            known = ", ".join(INGEST_POLICIES)
-            raise ValueError(
-                f"unknown on_bad_record {self.on_bad_record!r}; known: {known}"
-            )
-        # Delegate the executor-side invariants to RetryPolicy.
-        self.retry_policy()
-
-    def retry_policy(self):
-        """The :class:`~repro.engine.executor.RetryPolicy` equivalent
-        of the executor-side knobs (``None`` when supervision is fully
-        disabled)."""
-        from repro.engine.executor import RetryPolicy
-
-        if (
-            self.max_retries == 0
-            and self.task_timeout is None
-            and self.on_failure == "raise"
-        ):
-            return None
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            task_timeout=self.task_timeout,
-            backoff_base=self.backoff_base,
-            seed=self.retry_seed,
-            on_failure=self.on_failure,
-        )
-
-    def with_(self, **overrides) -> "RobustnessConfig":
-        """A copy with the given fields replaced."""
-        return self._replace(**overrides)
-
-
 #: The configuration for the paper's "Bimax-Merge" (JXPLAIN) rows.
 BIMAX_MERGE_CONFIG = JxplainConfig()
 

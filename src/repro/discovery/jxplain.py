@@ -31,8 +31,6 @@ add a path step — all entities at a path share it.
 
 from __future__ import annotations
 
-import threading
-from functools import partial
 from typing import Iterable, List, Optional, Sequence, Union as TUnion
 
 from repro.discovery.base import Discoverer, register_discoverer
@@ -145,42 +143,6 @@ def cluster_key_sets(
     raise ValueError(f"unknown entity strategy {strategy!r}")
 
 
-#: Guards against nested executor fan-out: a worker already running an
-#: entity merge keeps its own subtree serial (re-submitting to the same
-#: thread pool from inside a worker can deadlock it).
-_entity_dispatch = threading.local()
-
-
-# -- picklable entity-merge tasks --------------------------------------------
-#
-# Module-level (and dispatched via functools.partial over them) so the
-# process executor backend can ship per-entity merges to real workers
-# instead of silently degrading to a serial rescue; the merger itself
-# drops its executor when pickled (see JxplainMerger.__getstate__), so
-# a worker's recursive sub-merges stay serial by construction.
-
-
-def _run_entity_merge(fn, bag: TypeBag) -> Schema:
-    """Run one entity's merge under the nested-fan-out guard."""
-    _entity_dispatch.active = True
-    try:
-        return fn(bag)
-    finally:
-        _entity_dispatch.active = False
-
-
-def _merge_array_entity_task(
-    merger: "JxplainMerger", path: Path, depth: int, bag: TypeBag
-) -> Schema:
-    return merger._merge_array_entity(bag, path, depth)
-
-
-def _merge_object_entity_task(
-    merger: "JxplainMerger", path: Path, depth: int, bag: TypeBag
-) -> Schema:
-    return merger._merge_object_entity(bag, path, depth)
-
-
 class JxplainMerger:
     """Stateful recursive merger implementing Algorithm 4.
 
@@ -188,50 +150,11 @@ class JxplainMerger:
     :meth:`partition_arrays` hooks may be overridden (the staged
     pipeline precomputes their answers per path); the defaults compute
     them from the local bag, exactly as the simplified algorithm does.
-
-    ``executor`` (an :class:`~repro.engine.executor.Executor` or a spec
-    string like ``"threads:4"``) fans the per-entity merges at a
-    tuple-typed path out across workers: after partitioning, each
-    entity's sub-bag merges independently, so the only coordination is
-    the final ``union`` in emission order.  Results are identical to
-    serial execution; ``None`` keeps the seed's in-driver recursion.
     """
 
-    def __init__(
-        self,
-        config: Optional[JxplainConfig] = None,
-        executor=None,
-    ):
+    def __init__(self, config: Optional[JxplainConfig] = None):
         self.config = config or JxplainConfig()
         self.config.validate()
-        self._executor = None
-        if executor is not None:
-            from repro.engine.executor import resolve_executor
-
-            self._executor = resolve_executor(executor)
-
-    def __getstate__(self) -> dict:
-        # The merger crosses the process boundary inside per-entity
-        # merge tasks; pools are not picklable (and a worker must not
-        # fan out again), so the executor stays driver-side.
-        state = dict(self.__dict__)
-        state["_executor"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def _map_entity_merges(self, fn, bags: List[TypeBag]) -> List[Schema]:
-        """Map ``fn`` over per-entity bags, fanning out when allowed."""
-        executor = self._executor
-        if (
-            executor is None
-            or len(bags) <= 1
-            or getattr(_entity_dispatch, "active", False)
-        ):
-            return [fn(bag) for bag in bags]
-        counters.add("jxplain.entity_fanouts")
-        return executor.map_list(partial(_run_entity_merge, fn), bags)
 
     # -- heuristic hooks ---------------------------------------------------
 
@@ -365,11 +288,10 @@ class JxplainMerger:
         groups = self.partition_arrays(
             arrays.distinct(), path, counts=arrays.counts()
         )
-        branches = self._map_entity_merges(
-            partial(_merge_array_entity_task, self, path, depth),
-            [arrays.subset(group) for group in groups],
-        )
-        return union(*branches)
+        return union(*(
+            self._merge_array_entity(arrays.subset(group), path, depth)
+            for group in groups
+        ))
 
     def _merge_array_collection(
         self, arrays: TypeBag, path: Path, depth: int
@@ -420,11 +342,10 @@ class JxplainMerger:
         groups = self.partition_objects(
             objects.distinct(), path, counts=objects.counts()
         )
-        branches = self._map_entity_merges(
-            partial(_merge_object_entity_task, self, path, depth),
-            [objects.subset(group) for group in groups],
-        )
-        return union(*branches)
+        return union(*(
+            self._merge_object_entity(objects.subset(group), path, depth)
+            for group in groups
+        ))
 
     def _merge_object_collection(
         self, objects: TypeBag, path: Path, depth: int
@@ -471,13 +392,10 @@ class JxplainMerger:
 
 
 def jxplain_merge(
-    types: Iterable[JsonType],
-    config: Optional[JxplainConfig] = None,
-    *,
-    executor=None,
+    types: Iterable[JsonType], config: Optional[JxplainConfig] = None
 ) -> Schema:
     """Algorithm 4: JXPLAIN's merge with the given configuration."""
-    return JxplainMerger(config, executor=executor).merge(types)
+    return JxplainMerger(config).merge(types)
 
 
 class Jxplain(Discoverer):
@@ -485,17 +403,11 @@ class Jxplain(Discoverer):
 
     name = "bimax-merge"
 
-    def __init__(
-        self,
-        config: Optional[JxplainConfig] = None,
-        *,
-        executor=None,
-    ):
+    def __init__(self, config: Optional[JxplainConfig] = None):
         self.config = config or JxplainConfig()
-        self.executor = executor
 
     def merge_types(self, types: Iterable[JsonType]) -> Schema:
-        return jxplain_merge(types, self.config, executor=self.executor)
+        return jxplain_merge(types, self.config)
 
 
 class JxplainNaive(Jxplain):
@@ -507,13 +419,8 @@ class JxplainNaive(Jxplain):
 
     name = "bimax-naive"
 
-    def __init__(
-        self,
-        config: Optional[JxplainConfig] = None,
-        *,
-        executor=None,
-    ):
-        super().__init__(bimax_naive_config(config), executor=executor)
+    def __init__(self, config: Optional[JxplainConfig] = None):
+        super().__init__(bimax_naive_config(config))
 
 
 register_discoverer(Jxplain.name, Jxplain)

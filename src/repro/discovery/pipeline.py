@@ -15,10 +15,10 @@ for all three.  So both routes fold their input into a
 synthesis (``JxplainState.synthesize_result``) once:
 :meth:`JxplainPipeline.run` absorbs in-memory records, and
 :meth:`JxplainPipeline.run_file` absorbs files — sharded over byte
-ranges in workers when asked, which is where input parallelism lives.
-Pass ②'s per-path clustering fans out over the configured executor.
-Every stage is timed (:class:`~repro.engine.StageTimer`), which is
-what the Table 5 runtime bench measures.
+ranges in workers when asked, which is where parallelism lives; the
+synthesis runs once, in this process.  Every stage is timed
+(:class:`~repro.engine.StageTimer`), which is what the Table 5 runtime
+bench measures.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union as TUnion
 
 from repro.discovery.base import Discoverer, register_discoverer
-from repro.discovery.config import FeatureMode, JxplainConfig, RobustnessConfig
+from repro.discovery.config import FeatureMode, JxplainConfig
 from repro.discovery.jxplain import JxplainMerger, cluster_key_sets
 from repro.discovery.stat_tree import CollectionDecisions
-from repro.engine.executor import resolve_executor
-from repro.engine.instrument import StageTimer, counters
+from repro.engine.instrument import StageTimer
 from repro.entities.partitioner import EntityPartitioner
 from repro.errors import EmptyInputError
 from repro.heuristics.collection import CollectionEvidence, Designation
@@ -156,52 +155,33 @@ class TupleShapes(Record):
                     self._walk(value, path + (STAR,), decisions, extractor)
 
 
-def _compile_partitioner(task):
-    """Cluster one path's key-sets into an :class:`EntityPartitioner`.
-
-    Module-level (and fed fully picklable tasks) so the process
-    executor backend can ship it to workers.
-    """
-    path, key_sets, config = task
-    return path, EntityPartitioner(cluster_key_sets(key_sets, config))
-
-
 def build_partitioners(
-    shapes: TupleShapes, config: JxplainConfig, executor=None
+    shapes: TupleShapes, config: JxplainConfig
 ) -> "tuple[Dict[Path, EntityPartitioner], Dict[Path, EntityPartitioner]]":
     """Compile pass ②'s shapes into per-path entity partitioners.
 
-    Each tuple-designated path clusters independently — this is the
-    embarrassingly parallel core of entity discovery — so the per-path
-    Bimax/GreedyMerge runs fan out over ``executor`` (an
-    :class:`~repro.engine.executor.Executor` or spec string) when one
-    is given.  Results keep path order, so the output is identical to
-    the serial loop.
+    Each tuple-designated path clusters its key-sets (objects) or
+    position-sets (arrays) independently with the configured Bimax
+    strategy, in path order.
     """
-    object_tasks = [
-        (path, _deterministic_feature_order(feature_sets), config)
+    object_partitioners = {
+        path: EntityPartitioner(
+            cluster_key_sets(_deterministic_feature_order(feature_sets), config)
+        )
         for path, feature_sets in shapes.object_features.items()
-    ]
-    array_tasks = [
-        (
-            path,
-            [
-                frozenset(str(i) for i in range(length))
-                for length in sorted(lengths)
-            ],
-            config,
+    }
+    array_partitioners = {
+        path: EntityPartitioner(
+            cluster_key_sets(
+                [
+                    frozenset(str(i) for i in range(length))
+                    for length in sorted(lengths)
+                ],
+                config,
+            )
         )
         for path, lengths in shapes.array_lengths.items()
-    ]
-    tasks = object_tasks + array_tasks
-    backend = resolve_executor(executor) if executor is not None else None
-    if backend is None or len(tasks) <= 1:
-        compiled = [_compile_partitioner(task) for task in tasks]
-    else:
-        counters.add("pipeline.partitioner_fanouts")
-        compiled = backend.map_list(_compile_partitioner, tasks)
-    object_partitioners = dict(compiled[: len(object_tasks)])
-    array_partitioners = dict(compiled[len(object_tasks):])
+    }
     return object_partitioners, array_partitioners
 
 
@@ -313,7 +293,7 @@ class JxplainPipeline(Discoverer):
         heuristic_sample: Optional[float] = None,
         sample_seed: int = 0,
         executor=None,
-        robustness: Optional[RobustnessConfig] = None,
+        on_bad_record: str = "raise",
         ingest: str = "classic",
         shards=None,
         merge_fanin: Optional[int] = None,
@@ -325,20 +305,14 @@ class JxplainPipeline(Discoverer):
         only occur outside the sample fall back to the
         data-independent defaults (objects tuple, arrays collection).
 
-        ``executor`` selects the engine backend (an
-        :class:`~repro.engine.Executor` or a spec string like
-        ``"threads:4"``) that :meth:`run` fans pass ②'s per-path
-        clustering out over, and that sharded :meth:`run_file` runs
-        dispatch their shards to.
-
-        ``robustness`` installs the DESIGN.md §8 failure model: its
-        retry policy supervises the tasks :meth:`run` fans out (pass
-        ②'s per-path clustering), and its ``on_bad_record`` policy
-        governs :meth:`run_file` ingestion.
-
-        The rest configure :meth:`run_file`.  ``ingest`` picks the
-        reader: ``"classic"`` parses values, ``"fused"`` streams
-        interned record types (same schema, same report).  ``shards``
+        The rest configure :meth:`run_file`.  ``executor`` (an
+        :class:`~repro.engine.Executor`, which may carry a retry
+        policy, or a spec string like ``"processes:4"``) runs the
+        shards of a sharded run.  ``on_bad_record`` (``raise``,
+        ``skip`` or ``collect``) governs malformed input lines.
+        ``ingest`` picks the reader: ``"classic"`` parses values,
+        ``"fused"`` streams interned record types (same schema, same
+        report).  ``shards``
         reads each file as newline-aligned byte ranges in workers
         (:mod:`repro.engine.sharding`): ``"auto"`` sizes the shard
         count adaptively, an integer fixes it, and ``None`` (default)
@@ -351,7 +325,7 @@ class JxplainPipeline(Discoverer):
         enrichment (or its absence) governs, like its config.
         """
         from repro.discovery.sketches import parse_enrich_spec
-        from repro.io.jsonlines import _check_ingest_mode
+        from repro.io.jsonlines import _check_ingest_mode, _check_policy
 
         self.config = config or JxplainConfig()
         self.config.validate()
@@ -371,9 +345,8 @@ class JxplainPipeline(Discoverer):
         self.heuristic_sample = heuristic_sample
         self.sample_seed = sample_seed
         self.executor = executor
-        if robustness is not None:
-            robustness.validate()
-        self.robustness = robustness
+        _check_policy(on_bad_record)
+        self.on_bad_record = on_bad_record
 
     # -- the staged synthesis over in-memory records -------------------------
 
@@ -403,20 +376,13 @@ class JxplainPipeline(Discoverer):
                 sample_bag = _sample_bag(types, fraction, self.sample_seed)
         if not state.bag:
             raise EmptyInputError("pipeline: no input records")
-        executor = resolve_executor(self.executor)
-        if self.robustness is not None:
-            policy = self.robustness.retry_policy()
-            if policy is not None:
-                executor = executor.with_retry(policy)
         with timer.stage("synthesis"):
             (
                 schema,
                 decisions,
                 object_partitioners,
                 array_partitioners,
-            ) = state.synthesize_result(
-                heuristics=sample_bag, executor=executor
-            )
+            ) = state.synthesize_result(heuristics=sample_bag)
             if not self.use_fold:
                 schema = PipelineMerger(
                     self.config,
@@ -447,9 +413,8 @@ class JxplainPipeline(Discoverer):
         :class:`~repro.discovery.state.JxplainState`, absorbs ``path``
         and the ``append`` files into it
         (:func:`~repro.engine.sharding.absorb_files`), and runs passes
-        ①–③ over its statistics.  Files are read under the robustness
-        config's ``on_bad_record`` policy (``raise`` when no config is
-        set); the resulting
+        ①–③ over its statistics.  Files are read under the
+        ``on_bad_record`` policy; the resulting
         :class:`~repro.io.jsonlines.IngestReport` rides along on the
         :class:`PipelineResult`.
 
@@ -498,11 +463,7 @@ class JxplainPipeline(Discoverer):
             state,
             paths,
             ingest=self.ingest,
-            on_bad_record=(
-                self.robustness.on_bad_record
-                if self.robustness is not None
-                else "raise"
-            ),
+            on_bad_record=self.on_bad_record,
             shards=self.shards,
             executor=self.executor,
             merge_fanin=self.merge_fanin,

@@ -399,7 +399,7 @@ class JxplainState(BagState):
                 "cannot merge jxplain states with different configurations"
             )
 
-    def synthesize_result(self, *, heuristics=None, executor=None):
+    def synthesize_result(self, *, heuristics=None):
         """Run passes ①–③ over the statistics.
 
         Returns ``(schema, decisions, object_partitioners,
@@ -409,9 +409,7 @@ class JxplainState(BagState):
         ``heuristics`` is a :class:`~repro.jsontypes.bag.CountedBag`
         (§4.2's sampling mitigation: one folded from a sample) that
         passes ① and ② read in place of this state's bag; pass ③
-        always folds this state's bag.  ``executor`` fans pass ②'s
-        per-path clustering out
-        (:func:`~repro.discovery.pipeline.build_partitioners`).
+        always folds this state's bag.
         """
         from repro.discovery.fold import DecidedFolder, FoldNode
         from repro.discovery.pipeline import (
@@ -435,7 +433,7 @@ class JxplainState(BagState):
         for tau in evidence.distinct():
             shapes.add(tau, decisions, extractor)
         object_partitioners, array_partitioners = build_partitioners(
-            shapes, self.config, executor=executor
+            shapes, self.config
         )
         folder = DecidedFolder(
             decisions,

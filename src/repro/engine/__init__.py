@@ -13,7 +13,6 @@ __all__, __getattr__, __dir__ = _lazy.lazy_exports(
             "ProcessExecutor",
             "RetryPolicy",
             "SerialExecutor",
-            "ThreadExecutor",
             "default_executor",
             "executor_names",
             "resolve_executor",

@@ -1,21 +1,15 @@
-"""Pluggable execution backends for the engine's fan-outs.
+"""Execution backends for the engine's one fan-out: byte-range shards.
 
 The paper runs both extractors on Spark, where per-partition work fans
 out across a cluster.  :class:`Executor` is the local analogue of that
 scheduling layer: :meth:`Executor.map_list` maps a function over a
 list of tasks and returns the results *in task order*.  The shard
 coordinator (:mod:`repro.engine.sharding`, one task per byte range of
-an input file), JXPLAIN's per-path and per-entity work
-(:func:`repro.discovery.pipeline.build_partitioners`,
-:class:`repro.discovery.jxplain.JxplainMerger`) fan out through it.
-Three backends are provided:
+an input file) is what fans out through it; synthesis runs once, in
+the driver, on the merged state.  Two backends are provided:
 
 * :class:`SerialExecutor` — the seed behaviour: a plain loop in the
   driver.  Zero overhead, always available.
-* :class:`ThreadExecutor` — a ``ThreadPoolExecutor``.  Pure-Python
-  tasks release the GIL only around I/O, but this backend still
-  exercises every ordering hazard a real cluster has (tasks complete
-  out of order) and wins when task work is C-level-heavy.
 * :class:`ProcessExecutor` — forked children, at most ``workers``
   alive at once: a plain map forks one per contiguous slice of its
   items (at most two slices per worker); a supervised map forks one
@@ -31,8 +25,8 @@ Three backends are provided:
   ``os.fork`` degrades the same way.
 
 Backends are value objects: a caller holds one and passes it down.
-``resolve_executor`` turns a spec string (``"serial"``, ``"threads"``,
-``"threads:8"``, ``"processes:4"``) into an executor; the process-wide
+``resolve_executor`` turns a spec string (``"serial"``,
+``"processes"``, ``"processes:4"``) into an executor; the process-wide
 default comes from the ``REPRO_EXECUTOR`` environment variable and
 :func:`set_default_executor`.
 
@@ -42,7 +36,7 @@ Failure semantics
 A cluster loses workers; the local analogue must not lose runs.  An
 executor built with a :class:`RetryPolicy` (or wrapped via
 :meth:`Executor.with_retry`) runs every task through a supervision
-loop: per-attempt deadline (thread and process backends), exponential
+loop: per-attempt deadline (process backend), exponential
 backoff with deterministic seeded jitter between attempts, and — once
 retries are exhausted — an ``on_failure`` escalation chain of
 ``retry → serial-fallback → skip``:
@@ -54,7 +48,7 @@ retries are exhausted — an ``on_failure`` escalation chain of
 * ``"skip"`` — like ``"serial"``, but a task that still fails yields
   ``None`` in the result list instead of raising.
 
-Every decision ticks a thread-safe counter
+Every decision ticks a counter
 (``executor.retries`` / ``executor.timeouts`` /
 ``executor.task_failures`` / ``executor.serial_rescues`` /
 ``executor.skipped_tasks`` / ``executor.corrupt_results``), which is
@@ -106,11 +100,10 @@ class RetryPolicy(FrozenRecord):
         #: Extra attempts after the first (``0`` disables retries).
         max_retries: int = 2,
         #: Per-attempt deadline in seconds, counted from when the driver
-        #: starts waiting on the attempt (thread and process backends;
-        #: the process backend times an attempt still queued then from
-        #: its start).  ``None`` waits forever.  The serial backend
-        #: cannot preempt a running task, so it ignores the deadline
-        #: (documented limitation).
+        #: starts waiting on the attempt (an attempt still queued then
+        #: is timed from its start).  ``None`` waits forever.  The
+        #: serial backend cannot preempt a running task, so it ignores
+        #: the deadline (documented limitation).
         task_timeout: Optional[float] = None,
         #: First backoff delay, in seconds.
         backoff_base: float = 0.01,
@@ -237,7 +230,7 @@ class Executor:
         stage: Optional[str],
     ) -> List[U]:
         # First attempts are all submitted before any result is
-        # awaited, so parallel backends keep their fan-out even under
+        # awaited, so the process backend keeps its fan-out even under
         # supervision.
         handles = [
             self._submit_attempt(fn, item, self._select_fault(plan, stage, i, 0))
@@ -305,7 +298,7 @@ class Executor:
         raise last_error  # type: ignore[misc]
 
     def close(self) -> None:
-        """Release any pooled threads or live children (idempotent)."""
+        """Reap any live children (idempotent)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} workers={self.workers}>"
@@ -325,62 +318,9 @@ class SerialExecutor(Executor):
         return lambda: faults.run_with_fault(fn, item, spec)
 
     def _wait(self, handle, timeout: Optional[float]):
-        # A single-threaded backend cannot preempt a running task, so
-        # the deadline is unenforceable here and ignored.
+        # The driver cannot preempt a task it runs itself, so the
+        # deadline is unenforceable here and ignored.
         return handle()
-
-
-def _default_workers(max_workers: Optional[int]) -> int:
-    if max_workers is not None:
-        return max_workers
-    return max(2, os.cpu_count() or 1)
-
-
-class ThreadExecutor(Executor):
-    """Thread-pool backend; tasks complete in arbitrary order."""
-
-    name = "threads"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-    ):
-        super().__init__(max_workers, retry)
-        self._pool = None
-
-    @property
-    def workers(self) -> int:
-        return _default_workers(self._max_workers)
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _map_plain(self, fn: Callable[[T], U], items: Sequence[T]) -> List[U]:
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        return list(self._ensure_pool().map(fn, items))
-
-    def _submit_attempt(self, fn, item, spec):
-        return self._ensure_pool().submit(faults.run_with_fault, fn, item, spec)
-
-    def _wait(self, handle, timeout: Optional[float]):
-        from concurrent.futures import TimeoutError as FutureTimeout
-
-        try:
-            return handle.result(timeout)
-        except FutureTimeout as exc:
-            # The same class as the builtin from Python 3.11 on.
-            raise TimeoutError(str(exc)) from exc
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class _Unsent(EngineError):
@@ -531,7 +471,9 @@ class ProcessExecutor(Executor):
 
     @property
     def workers(self) -> int:
-        return _default_workers(self._max_workers)
+        if self._max_workers is not None:
+            return self._max_workers
+        return max(2, os.cpu_count() or 1)
 
     @property
     def last_fallback_error(self) -> Optional[str]:
@@ -730,14 +672,12 @@ class ProcessExecutor(Executor):
 
 _BACKENDS = {
     SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
     ProcessExecutor.name: ProcessExecutor,
 }
 
 #: Singular spellings accepted in specs (``REPRO_EXECUTOR=process``)
 #: but not advertised by :func:`executor_names`.
 _BACKEND_ALIASES = {
-    "thread": ThreadExecutor.name,
     "process": ProcessExecutor.name,
 }
 
@@ -797,9 +737,7 @@ def set_default_executor(spec) -> Executor:
 
 @atexit.register
 def _close_default_executor() -> None:
-    # A thread-pool default must shut down before the interpreter
-    # tears down module globals, and a process default may still own
-    # children to reap.
+    # A process default may still own children to reap.
     global _default_executor
     if _default_executor is not None:
         _default_executor.close()

@@ -13,23 +13,24 @@ suite can prove that claim:
   ``REPRO_FAULTS`` environment variable;
 * :func:`stage_scope` / :func:`current_stage` — the ambient stage
   label.  :class:`~repro.engine.instrument.StageTimer` enters a scope
-  for every timed stage, so stage names ("synthesis",
-  "shard-discover", ...) are fault-injection targets for free.
+  for every timed stage, so stage names are fault-injection targets
+  for free.  The one stage that runs executor tasks is
+  ``"shard-discover"``, the shard workers of a sharded run.
 
 The executor consults the active plan once per task *attempt* in the
 driver (where the injection counters tick), then executes the fault in
 the worker via :func:`run_with_fault` — so a ``raise`` genuinely
-crashes a pool worker and a ``delay`` genuinely makes one hang past
-its deadline.  Matching is a pure function of ``(stage, task index,
-attempt)``: no wall clock, no shared mutable state, which is what
-makes chaos runs reproducible across serial, thread, and process
+crashes a worker process and a ``delay`` genuinely makes one hang
+past its deadline.  Matching is a pure function of ``(stage, task
+index, attempt)``: no wall clock, no shared mutable state, which is
+what makes chaos runs reproducible across the serial and process
 backends.
 
 ``REPRO_FAULTS`` grammar (comma-separated specs)::
 
     stage:index:kind[:times[:delay_seconds]]
 
-    REPRO_FAULTS="synthesis:1:raise,shard-discover:0:delay:1:0.5"
+    REPRO_FAULTS="shard-discover:1:raise,shard-discover:0:delay:1:0.5"
 
 A stage of ``*`` matches every stage.
 """

@@ -29,11 +29,12 @@ from repro.engine.faults import stage_scope
 class Counters:
     """A mergeable bag of named numeric counters.
 
-    Thread-safe: the entity-discovery layer flushes aggregated counts
-    from executor worker threads, so the read-modify-write in
-    :meth:`add` takes a lock.  A forked child gets a fresh lock, since
-    another thread of the driver may hold the inherited one and no
-    thread of the child will ever release it.  Callers keep counters
+    Thread-safe: the engine starts no threads, but a library caller
+    may run discoveries from several threads of one process, which
+    all tick the one :data:`counters` registry, so the
+    read-modify-write in :meth:`add` takes a lock.  A forked child
+    gets a fresh lock, since another thread of the driver may hold the
+    inherited one and no thread of the child will ever release it.  Callers keep counters
     cheap by accumulating locally and adding once per logical
     operation, not once per event.
     """

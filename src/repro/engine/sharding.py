@@ -560,7 +560,7 @@ class ShardCoordinator:
             counters.add("sharding.skipped_shards", skipped)
         for result in settled:
             if result.worker_pid != driver_pid:
-                # Same-process results (serial/thread backends, rescue
+                # Same-process results (serial backend, rescue
                 # re-runs) already mutated the shared counters; only
                 # true cross-process results carry unflushed deltas.
                 for name, value in result.counter_deltas.items():

@@ -13,8 +13,9 @@ streams:
   empty-array-heavy records can flip it (collection designation
   changes how the type space is counted), and the paper makes no
   universal claim there.
-* **Backend determinism** — the staged pipeline yields byte-identical
-  JSON Schema output under serial, thread, and process executors.
+* **Backend determinism** — the staged pipeline, reading a file in
+  shards, yields byte-identical JSON Schema output under the serial
+  and process executors, equal to an unsharded run.
 * **Fused ≡ classic ingestion** — streaming a file through the fused
   bytes→type reader produces the same ``DiscoveryState.to_bytes()`` as
   the classic parse-then-type fold, for every algorithm, on clean and
@@ -30,7 +31,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.discovery import JxplainPipeline, KReduce, LReduce, make_discoverer
 from repro.discovery.state import load_state, save_state, state_for_algorithm
-from repro.engine import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.engine import ProcessExecutor, SerialExecutor
 from repro.io.fastpath import absorb_file, read_jsonlines_fused
 from repro.io.jsonlines import IngestReport, ingest_jsonlines
 from repro.schema import schema_entropy, to_json_schema
@@ -140,7 +141,6 @@ def test_jxplain_entropy_at_most_kreduce(records):
 def backends():
     executors = {
         "serial": SerialExecutor(),
-        "threads": ThreadExecutor(2),
         "processes": ProcessExecutor(2),
     }
     yield executors
@@ -154,13 +154,20 @@ def backends():
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(records=entity_mixture)
-def test_pipeline_deterministic_across_backends(backends, records):
-    outputs = {}
+def test_pipeline_deterministic_across_backends(
+    backends, records, tmp_path_factory
+):
+    path = tmp_path_factory.mktemp("backends") / "corpus.jsonl"
+    path.write_text(
+        "".join(json.dumps(record) + "\n" for record in records),
+        encoding="utf-8",
+    )
+    unsharded = JxplainPipeline().run_file(path)
+    expected = (schema_bytes(unsharded.schema), unsharded.record_count)
     for name, executor in backends.items():
-        result = JxplainPipeline(executor=executor).run(list(records))
-        outputs[name] = (schema_bytes(result.schema), result.record_count)
-    assert outputs["threads"] == outputs["serial"]
-    assert outputs["processes"] == outputs["serial"]
+        result = JxplainPipeline(shards=3, executor=executor).run_file(path)
+        outputs = (schema_bytes(result.schema), result.record_count)
+        assert outputs == expected, name
 
 
 @settings(max_examples=25, deadline=None)

@@ -22,7 +22,6 @@ from repro.engine import (
     InjectedFault,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     clear_fault_plan,
     install_fault_plan,
 )
@@ -162,13 +161,12 @@ class TestShardedOracle:
         )
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("backend", ("serial", "threads", "process"))
+    @pytest.mark.parametrize("backend", ("serial", "process"))
     def test_every_backend_matches_serial(
         self, corpus, algorithm, backend, plain_bytes, enriched_bytes
     ):
         executor = {
             "serial": SerialExecutor,
-            "threads": lambda: ThreadExecutor(2),
             "process": lambda: ProcessExecutor(2),
         }[backend]()
         try:

@@ -1,22 +1,16 @@
-"""Backend-independence of discovery: serial ≡ threads ≡ processes.
-
-The per-path entity work (pass ② partitioner compilation, recursive
-entity merges) dispatches through the PR-1 executor backends; the
-discovered schema must not depend on which backend ran it.
+"""The staged pipeline agrees with the recursive reference (Algorithm 4)
+on a multi-entity corpus whose entities share an envelope.
 """
 
 import pytest
 
 from repro.discovery.jxplain import Jxplain
 from repro.discovery.pipeline import JxplainPipeline
-from repro.engine.executor import resolve_executor
-from repro.engine.instrument import counters, reset_perf_counters
 
 
 @pytest.fixture
 def multi_entity_records():
-    """Three entity shapes sharing an envelope, plus nested arrays —
-    enough distinct paths for pass ② to fan out."""
+    """Three entity shapes sharing an envelope, plus nested arrays."""
     records = []
     for index in range(12):
         records.append(
@@ -45,84 +39,8 @@ def multi_entity_records():
     return records
 
 
-BACKENDS = ["serial", "threads:2", "processes:2"]
-
-
 class TestBackendIndependence:
-    def test_jxplain_schema_identical(self, multi_entity_records):
-        reference = Jxplain().discover(multi_entity_records)
-        for spec in BACKENDS:
-            executor = resolve_executor(spec)
-            try:
-                schema = Jxplain(executor=executor).discover(
-                    multi_entity_records
-                )
-            finally:
-                executor.close()
-            assert schema == reference, spec
-
-    def test_pipeline_schema_identical(self, multi_entity_records):
-        reference = JxplainPipeline().discover(multi_entity_records)
-        for spec in BACKENDS:
-            schema = JxplainPipeline(executor=spec).discover(
-                multi_entity_records
-            )
-            assert schema == reference, spec
-
     def test_pipeline_matches_recursive_reference(self, multi_entity_records):
-        assert JxplainPipeline(executor="threads:2").discover(
+        assert JxplainPipeline().discover(
             multi_entity_records
         ) == Jxplain().discover(multi_entity_records)
-
-    def test_thread_fanout_counted(self, multi_entity_records):
-        reset_perf_counters()
-        executor = resolve_executor("threads:2")
-        try:
-            Jxplain(executor=executor).discover(multi_entity_records)
-        finally:
-            executor.close()
-        snapshot = counters.snapshot()
-        assert snapshot.get("jxplain.entity_fanouts", 0) >= 1
-
-    def test_pipeline_partitioner_fanout_counted(self, multi_entity_records):
-        reset_perf_counters()
-        JxplainPipeline(executor="threads:2").discover(multi_entity_records)
-        snapshot = counters.snapshot()
-        assert snapshot.get("pipeline.partitioner_fanouts", 0) >= 1
-
-
-class TestProcessPicklability:
-    """The entity-merge tasks must genuinely ship to worker processes.
-
-    Before the partial()-based task functions, the per-entity closures
-    failed to pickle and the process backend silently degraded to its
-    serial rescue — backend-equality held, but nothing ran in parallel.
-    """
-
-    def test_jxplain_entity_merges_pickle(self, multi_entity_records):
-        reference = Jxplain().discover(multi_entity_records)
-        reset_perf_counters()
-        executor = resolve_executor("processes:2")
-        try:
-            schema = Jxplain(executor=executor).discover(
-                multi_entity_records
-            )
-            assert executor.last_fallback_error is None
-        finally:
-            executor.close()
-        assert schema == reference
-        assert counters.get("executor.process_fallbacks") == 0
-
-    def test_merger_state_drops_executor_on_pickle(self):
-        import pickle
-
-        from repro.discovery.jxplain import JxplainMerger
-
-        executor = resolve_executor("threads:2")
-        try:
-            merger = JxplainMerger(executor=executor)
-            clone = pickle.loads(pickle.dumps(merger))
-        finally:
-            executor.close()
-        assert clone._executor is None
-        assert clone.config == merger.config

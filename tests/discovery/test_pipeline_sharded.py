@@ -97,3 +97,35 @@ class TestShardedRunFile:
             JxplainPipeline(shards=0)
         with pytest.raises(ValueError):
             JxplainPipeline(shards="many")
+
+
+class TestBadRecordPolicy:
+    @pytest.fixture
+    def dirty(self, corpus, tmp_path):
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        path = tmp_path / "dirty.jsonl"
+        path.write_bytes(b"".join(lines[:100] + [b"{not json\n"] + lines[100:]))
+        return path
+
+    def test_raise_is_the_default(self, dirty):
+        from repro.errors import DatasetError
+
+        with pytest.raises(DatasetError):
+            JxplainPipeline().run_file(dirty)
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_skip_reads_past_a_bad_line(self, corpus, dirty, shards):
+        result = JxplainPipeline(on_bad_record="skip", shards=shards).run_file(
+            dirty
+        )
+        assert result.state.to_bytes() == serial_bytes(corpus)
+        assert result.ingest_report.record_count == 300
+        assert [bad.line_number for bad in result.ingest_report.bad_records] == [
+            101
+        ]
+
+    def test_unknown_policy_rejected(self):
+        from repro.errors import DatasetError
+
+        with pytest.raises(DatasetError, match="on_bad_record"):
+            JxplainPipeline(on_bad_record="ignore")

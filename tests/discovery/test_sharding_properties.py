@@ -238,10 +238,10 @@ class TestWorkerDeathResume:
     def test_retry_recovers_transient_worker_death_in_place(self, corpus):
         """A fault that clears within the retry budget never surfaces:
         the supervised run completes and matches serial bytes."""
-        from repro.engine import RetryPolicy, ThreadExecutor
+        from repro.engine import ProcessExecutor, RetryPolicy
 
         install_fault_plan("shard-discover:1:raise:1")
-        executor = ThreadExecutor(
+        executor = ProcessExecutor(
             2, retry=RetryPolicy(max_retries=2, backoff_base=0.001)
         )
         before = counters.snapshot()

@@ -3,7 +3,7 @@
 The contract under test is that a backend changes *where* each task of
 a :meth:`~repro.engine.executor.Executor.map_list` runs, never *what*
 the map returns or in which order.  Property tests drive the same
-per-task work on all three backends and require identical results.
+per-task work on both backends and require identical results.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.engine import (
     Counters,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     counters,
     default_executor,
     executor_names,
@@ -29,7 +28,7 @@ from repro.engine import (
     set_default_executor,
 )
 from repro.datasets import make_dataset
-from repro.discovery import JxplainPipeline, KReduce, state_for_algorithm
+from repro.discovery import KReduce, state_for_algorithm
 from repro.engine.sharding import discover_sharded
 from repro.errors import EngineError
 from repro.io.fastpath import absorb_file
@@ -78,8 +77,8 @@ def _merge_k_chunk(chunk):
 
 @pytest.fixture(scope="module")
 def backends():
-    """One long-lived executor per backend (pools are reusable)."""
-    return [SerialExecutor(), ThreadExecutor(3), ProcessExecutor(2)]
+    """One long-lived executor per backend (they are reusable)."""
+    return [SerialExecutor(), ProcessExecutor(2)]
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +110,7 @@ class TestBackendEquivalence:
             ex.map_list(_transform, _chunks(records, tasks))
             for ex in backends
         ]
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
     @settings(max_examples=20, deadline=None)
     @given(records=ints, tasks=task_counts)
@@ -126,7 +125,7 @@ class TestBackendEquivalence:
             )
             for ex in backends
         ]
-        assert values[0] == values[1] == values[2]
+        assert values[0] == values[1]
 
     @settings(max_examples=5, deadline=None)
     @given(shards=st.integers(1, 4), fanin=st.integers(2, 3))
@@ -142,24 +141,6 @@ class TestBackendEquivalence:
             )
             assert run.state.to_bytes() == serial.to_bytes()
 
-    @settings(max_examples=10, deadline=None)
-    @given(
-        fraction=st.floats(min_value=0.05, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=99),
-    )
-    def test_sample_is_backend_independent(
-        self, backends, github_records, fraction, seed
-    ):
-        results = [
-            JxplainPipeline(
-                heuristic_sample=fraction, sample_seed=seed, executor=ex
-            ).run(github_records)
-            for ex in backends
-        ]
-        for result in results[1:]:
-            assert result.schema == results[0].schema
-            assert result.decisions == results[0].decisions
-
     def test_discoverers_identical_across_backends(self, backends):
         from repro.discovery.kreduce import merge_k_schemas
         from repro.jsontypes import type_of
@@ -167,17 +148,14 @@ class TestBackendEquivalence:
         records = make_dataset("yelp-merged").generate(200, seed=3)
         types = [type_of(r) for r in records]
         reference_k = KReduce().discover(records)
-        reference_j = JxplainPipeline().run(records).schema
         for ex in backends:
             before = counters.get("executor.process_fallbacks")
-            pipeline = JxplainPipeline(executor=ex)
-            assert pipeline.run(records).schema == reference_j
             folded = functools.reduce(
                 merge_k_schemas, ex.map_list(_merge_k_chunk, _chunks(types, 4))
             )
             assert folded == reference_k
-            # Pass ②'s clustering and the K-reduce partials really
-            # crossed process boundaries: nothing degraded to the driver.
+            # The K-reduce partials really crossed process boundaries:
+            # nothing degraded to the driver.
             assert counters.get("executor.process_fallbacks") == before
 
 
@@ -445,9 +423,8 @@ class TestForkPerTask:
 class TestResolution:
     def test_spec_strings(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("threads"), ThreadExecutor)
-        ex = resolve_executor("threads:5")
-        assert isinstance(ex, ThreadExecutor) and ex.workers == 5
+        assert isinstance(resolve_executor("processes"), ProcessExecutor)
+        assert isinstance(resolve_executor("process"), ProcessExecutor)
         ex = resolve_executor("processes:2")
         assert isinstance(ex, ProcessExecutor) and ex.workers == 2
 
@@ -460,19 +437,38 @@ class TestResolution:
         with pytest.raises(EngineError):
             resolve_executor("clusters:9")
         with pytest.raises(EngineError):
-            resolve_executor("threads:0")
+            resolve_executor("processes:0")
         with pytest.raises(EngineError):
-            resolve_executor("threads:lots")
+            resolve_executor("processes:lots")
+
+    @pytest.mark.parametrize("spec", ["threads", "thread", "threads:4"])
+    def test_the_thread_backend_is_gone(self, spec):
+        with pytest.raises(
+            EngineError,
+            match="unknown executor 'threads?'; known: serial, processes$",
+        ):
+            resolve_executor(spec)
+
+    def test_repro_executor_threads_is_an_unknown_backend(self, monkeypatch):
+        import repro.engine.executor as executor_module
+
+        monkeypatch.setenv(executor_module.EXECUTOR_ENV_VAR, "threads")
+        monkeypatch.setattr(executor_module, "_default_executor", None)
+        with pytest.raises(
+            EngineError,
+            match="^unknown executor 'threads'; known: serial, processes$",
+        ):
+            default_executor()
 
     def test_names_registry(self):
-        assert set(executor_names()) == {"serial", "threads", "processes"}
+        assert executor_names() == ["serial", "processes"]
 
     def test_set_default_round_trip(self):
         old = default_executor()
         try:
-            set_default_executor("threads:2")
-            assert isinstance(default_executor(), ThreadExecutor)
-            assert isinstance(resolve_executor(None), ThreadExecutor)
+            set_default_executor("processes:2")
+            assert isinstance(default_executor(), ProcessExecutor)
+            assert isinstance(resolve_executor(None), ProcessExecutor)
         finally:
             set_default_executor(old)
 

@@ -18,7 +18,6 @@ from repro.discovery.state import state_for_algorithm
 from repro.engine import (
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     counters,
 )
 from repro.engine.sharding import (
@@ -197,8 +196,8 @@ class TestCoordinator:
         assert result.plan.shard_count == 4
         assert result.report.record_count == 400
 
-    def test_thread_backend_matches(self, corpus):
-        executor = ThreadExecutor(2)
+    def test_process_backend_matches(self, corpus):
+        executor = ProcessExecutor(2)
         try:
             result = discover_sharded(
                 corpus, "jxplain", executor=executor, shards=4
@@ -276,7 +275,7 @@ class TestCoordinator:
             if index != 1:
                 for tau in read_jsonlines_fused(corpus, start=start, end=end):
                     survivors.absorb_type(tau)
-        executor = ThreadExecutor(
+        executor = ProcessExecutor(
             2, retry=RetryPolicy(max_retries=0, on_failure="skip")
         )
         try:

@@ -2,15 +2,15 @@
 
 The acceptance bar for the fault-tolerance layer: with a
 :class:`FaultPlan` injecting one crash, one timeout and one corrupt
-result into the stage of the staged JXPLAIN pipeline that fans work
-out (pass ②'s per-path clustering, under ``synthesis``), the
-discovered schema is byte-identical to a fault-free run, and the
-retry/timeout counters account for exactly the injected faults — no
-more (no spurious retries), no less (the plan really fired).  The same
-invariance is asserted for sharded discovery, where shard workers are
-forked processes that really crash and hang: a K-reduce state and a
-JXPLAIN state absorbed over byte ranges equal their unsharded
-absorption byte for byte.
+result into the one stage that fans work out (``shard-discover``, the
+shard workers of a sharded run, which are forked processes that really
+crash and hang), the staged JXPLAIN pipeline's schema is
+byte-identical to a fault-free run, and the retry/timeout counters
+account for exactly the injected faults — no more (no spurious
+retries), no less (the plan really fired).  The same invariance is
+asserted for the states themselves: a K-reduce state and a JXPLAIN
+state absorbed over byte ranges equal their unsharded absorption byte
+for byte.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from repro.discovery.state import state_for_algorithm
 from repro.engine import (
     ProcessExecutor,
     RetryPolicy,
-    SerialExecutor,
-    ThreadExecutor,
     clear_fault_plan,
     counters,
     install_fault_plan,
@@ -47,14 +45,13 @@ CHAOS_POLICY = RetryPolicy(
     on_failure="serial",
 )
 
-#: One crash, one timeout and one corrupt result in synthesis's
-#: per-path partitioner fan-out, the pipeline stage with executor
-#: tasks.  All faults stand down after one firing, so a single retry
-#: clears each.
+#: One crash, one timeout and one corrupt result in the pipeline's
+#: shard workers, the stage with executor tasks.  All faults stand
+#: down after one firing, so a single retry clears each.
 PIPELINE_PLAN = ",".join(
     [
-        f"synthesis:3:raise,synthesis:0:delay:1:{INJECTED_DELAY}",
-        "synthesis:2:corrupt",
+        f"shard-discover:0:raise,shard-discover:1:delay:1:{INJECTED_DELAY}",
+        "shard-discover:2:corrupt",
     ]
 )
 
@@ -89,13 +86,15 @@ def _delta(before, name: str) -> float:
 
 
 class TestPipelineChaos:
-    def test_jxplain_output_identical_under_faults(self, records):
-        baseline = JxplainPipeline(executor=SerialExecutor()).run(records)
+    def test_jxplain_output_identical_under_faults(self, corpus):
+        baseline = JxplainPipeline().run_file(corpus)
         install_fault_plan(PIPELINE_PLAN)
-        executor = ThreadExecutor(4, retry=CHAOS_POLICY)
+        executor = ProcessExecutor(2, retry=CHAOS_POLICY)
         before = counters.snapshot()
         try:
-            chaotic = JxplainPipeline(executor=executor).run(records)
+            chaotic = JxplainPipeline(shards=3, executor=executor).run_file(
+                corpus
+            )
         finally:
             executor.close()
         assert schema_bytes(chaotic.schema) == schema_bytes(baseline.schema)
@@ -105,7 +104,7 @@ class TestPipelineChaos:
         injected_raise = _delta(before, "faults.injected_raise")
         injected_delay = _delta(before, "faults.injected_delay")
         injected_corrupt = _delta(before, "faults.injected_corrupt")
-        # The stage fans out once, so every fault fires exactly once.
+        # The shards fan out once, so every fault fires exactly once.
         assert injected_raise == 1
         assert injected_delay == 1
         assert injected_corrupt == 1
@@ -119,22 +118,7 @@ class TestPipelineChaos:
         # Retries sufficed: nothing escalated, nothing was dropped.
         assert _delta(before, "executor.serial_rescues") == 0
         assert _delta(before, "executor.skipped_tasks") == 0
-
-    def test_robustness_config_wires_the_policy(self, records):
-        """The same invariance, configured via RobustnessConfig."""
-        from repro.discovery import RobustnessConfig
-
-        baseline = JxplainPipeline().discover(records)
-        install_fault_plan("synthesis:1:raise:1")
-        robust = JxplainPipeline(
-            executor=ThreadExecutor(2),
-            robustness=RobustnessConfig(
-                max_retries=2, backoff_base=0.001, on_failure="serial"
-            ),
-        )
-        before = counters.snapshot()
-        assert schema_bytes(robust.discover(records)) == schema_bytes(baseline)
-        assert _delta(before, "faults.injected_raise") == 1
+        assert _delta(before, "executor.process_fallbacks") == 0
 
 
 def _absorb(corpus, algorithm, **sharding):
@@ -199,16 +183,19 @@ class TestProcessWorkerChaos:
 
 
 class TestEnvDrivenChaos:
-    def test_repro_faults_env_plan_fires(self, monkeypatch, records):
+    def test_repro_faults_env_plan_fires(self, monkeypatch, corpus):
         from repro.engine.faults import FAULTS_ENV_VAR
 
-        baseline = JxplainPipeline().discover(records)
-        monkeypatch.setenv(FAULTS_ENV_VAR, "synthesis:0:raise:1")
-        executor = ThreadExecutor(2, retry=CHAOS_POLICY)
+        baseline = JxplainPipeline().run_file(corpus).schema
+        monkeypatch.setenv(FAULTS_ENV_VAR, "shard-discover:0:raise:1")
+        executor = ProcessExecutor(2, retry=CHAOS_POLICY)
         before = counters.snapshot()
         try:
-            schema = JxplainPipeline(executor=executor).discover(records)
+            schema = JxplainPipeline(shards=2, executor=executor).run_file(
+                corpus
+            ).schema
         finally:
             executor.close()
         assert schema_bytes(schema) == schema_bytes(baseline)
         assert _delta(before, "faults.injected_raise") == 1
+        assert _delta(before, "executor.retries") == 1

@@ -7,6 +7,7 @@ process-fallback visibility bugfix.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -16,7 +17,6 @@ from repro.engine import (
     ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
-    ThreadExecutor,
     counters,
     retry_delay,
 )
@@ -56,17 +56,38 @@ def _delta(before, name):
     return counters.get(name) - before.get(name, 0)
 
 
+class FlakyOnDisk:
+    """:class:`Flaky` for worker processes: each call leaves a file in
+    ``directory``, so the count of earlier calls outlives the child
+    that made them.  Picklable, so the process backend forks it."""
+
+    def __init__(self, directory, failures: int):
+        self.directory = str(directory)
+        self.failures = failures
+
+    def __call__(self, item):
+        prefix = f"{item}-"
+        seen = sum(
+            name.startswith(prefix) for name in os.listdir(self.directory)
+        )
+        with open(os.path.join(self.directory, f"{prefix}{seen}"), "w"):
+            pass
+        if seen < self.failures:
+            raise ValueError(f"transient failure #{seen} for {item!r}")
+        return item * 10
+
+
 @pytest.mark.parametrize(
     "make_executor",
     [
         lambda p: SerialExecutor(retry=p),
-        lambda p: ThreadExecutor(3, retry=p),
+        lambda p: ProcessExecutor(3, retry=p),
     ],
-    ids=["serial", "threads"],
+    ids=["serial", "processes"],
 )
-def test_transient_failures_are_retried_away(make_executor):
+def test_transient_failures_are_retried_away(make_executor, tmp_path):
     executor = make_executor(FAST)
-    flaky = Flaky(failures=2)
+    flaky = FlakyOnDisk(tmp_path, failures=2)
     before = _snapshot()
     try:
         assert executor.map_list(flaky, [1, 2, 3]) == [10, 20, 30]
@@ -75,6 +96,7 @@ def test_transient_failures_are_retried_away(make_executor):
     assert _delta(before, "executor.retries") == 6
     assert _delta(before, "executor.task_failures") == 6
     assert _delta(before, "executor.skipped_tasks") == 0
+    assert _delta(before, "executor.process_fallbacks") == 0
 
 
 def test_retries_exhausted_raises_last_error():
@@ -97,7 +119,7 @@ def test_serial_fallback_rescues_after_retries():
 
 def test_skip_yields_none_for_hopeless_tasks():
     policy = FAST.with_(on_failure="skip")
-    executor = ThreadExecutor(2, retry=policy)
+    executor = ProcessExecutor(2, retry=policy)
 
     try:
         before = _snapshot()
@@ -126,7 +148,7 @@ def test_deadline_times_out_and_raises():
     policy = RetryPolicy(
         max_retries=0, task_timeout=0.1, on_failure="raise"
     )
-    executor = ThreadExecutor(2, retry=policy)
+    executor = ProcessExecutor(2, retry=policy)
     try:
         before = _snapshot()
         with pytest.raises(EngineError, match="deadline"):
@@ -142,7 +164,7 @@ def test_deadline_skip_keeps_fast_results():
     policy = RetryPolicy(
         max_retries=0, task_timeout=0.1, on_failure="skip"
     )
-    executor = ThreadExecutor(2, retry=policy)
+    executor = ProcessExecutor(2, retry=policy)
     try:
         assert executor.map_list(_slow_then_value, ["a", "slow", "b"]) == [
             "a",
@@ -192,9 +214,9 @@ class TestPolicyValidation:
             RetryPolicy(jitter=1.5)
 
     def test_with_retry_preserves_backend(self):
-        executor = ThreadExecutor(5)
+        executor = ProcessExecutor(5)
         supervised = executor.with_retry(FAST)
-        assert type(supervised) is ThreadExecutor
+        assert type(supervised) is ProcessExecutor
         assert supervised.workers == 5
         assert supervised.retry == FAST
         assert executor.retry is None

@@ -8,9 +8,9 @@ from repro.engine import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
+    ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
-    ThreadExecutor,
     active_fault_plan,
     clear_fault_plan,
     current_stage,
@@ -152,7 +152,7 @@ class TestExecutorIntegration:
     def test_supervised_fault_is_retried_away(self):
         install_fault_plan("here:1:raise,here:0:corrupt")
         policy = RetryPolicy(max_retries=1, backoff_base=0.0)
-        executor = ThreadExecutor(2, retry=policy)
+        executor = ProcessExecutor(2, retry=policy)
         try:
             with stage_scope("here"):
                 assert executor.map_list(_inc, [1, 2, 3]) == [2, 3, 4]

@@ -130,6 +130,23 @@ class TestAlgorithmNames:
             "--strategy", "bimax-naive",
         ) == 0
 
+    def test_jxplain_prints_bimax_merges_bytes(self, tmp_path, capsys, route):
+        """``jxplain`` is the state name of ``bimax-merge``: the same
+        synthesis, so the same bytes.  Twitter is one of F12's
+        divergent corpora, where Algorithm 4 (a plain ``bimax-merge``
+        run) and the staged synthesis print different schemas."""
+        from repro.datasets import make_dataset
+
+        corpus = tmp_path / "twitter.jsonl"
+        write_jsonlines(corpus, make_dataset("twitter").generate(300, seed=5))
+        printed = {}
+        for algorithm in ("bimax-merge", "jxplain"):
+            assert self._discover(
+                corpus, tmp_path, route, algorithm, "--format", "json"
+            ) == 0
+            printed[algorithm] = capsys.readouterr().out
+        assert printed["jxplain"] == printed["bimax-merge"]
+
 
 #: Run in a fresh interpreter: ``discover`` a tiny file, then a large
 #: one, each in a child forked from it, and print how far each child's

@@ -15,7 +15,9 @@ out.  Nor does it load a subsystem that only an opted-in run needs
 on first use (:mod:`repro._lazy`), and the codec, the sketches, the
 process backend, the staged synthesis and the baselines are imported
 by the code that runs them.  A default ``discover`` then imports
-nothing beyond the CLI's own import but argparse's ``locale``.  Each
+nothing beyond the CLI's own import but argparse's ``locale``, and a
+run that keeps a state but forks no workers (the staged synthesis, a
+checkpoint) loads nothing of the process backend.  Each
 check runs in a fresh interpreter, since this test process has
 imported all of them already.
 """
@@ -73,6 +75,16 @@ DEFERRED = (
     "repro.schema.docgen",
     "repro.schema.subsume",
     "repro.schema.sample",
+)
+
+#: What only the process backend uses: a run that forks no workers
+#: loads none of it, however much state it keeps.
+PROCESS_BACKEND = (
+    "pickle",
+    "_pickle",
+    "select",
+    "signal",
+    "repro.engine.executor",
 )
 
 #: The packages whose ``__init__`` serves its names on first use.
@@ -168,6 +180,19 @@ def test_default_discover_imports_nothing_beyond_the_cli(
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     assert set(added) <= {"locale", "_locale"}, added
+
+
+@pytest.mark.parametrize("route", ["jxplain-pipeline", "checkpoint"])
+def test_stateful_routes_leave_the_process_backend_unloaded(
+    github_corpus, tmp_path, route
+):
+    # The staged synthesis runs in the driver, and so does a checkpoint.
+    flags = {
+        "jxplain-pipeline": ("--algorithm", "jxplain-pipeline"),
+        "checkpoint": ("--checkpoint", str(tmp_path / "state.ckpt")),
+    }[route]
+    loaded = _loaded_after(_discover(github_corpus, *flags), PROCESS_BACKEND)
+    assert not any(loaded.values()), loaded
 
 
 def test_kmeans_strategy_loads_numpy_on_demand(github_corpus):

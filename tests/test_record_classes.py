@@ -53,11 +53,6 @@ SIGNATURES = {
         ("kmeans_k", "None"), ("kmeans_seed", "0"),
         ("kmeans_weighted", "False"), ("max_depth", "128"),
     ]),
-    "repro.discovery.config.RobustnessConfig": (True, [
-        ("on_bad_record", "'skip'"), ("max_retries", "2"),
-        ("task_timeout", "None"), ("backoff_base", "0.01"),
-        ("retry_seed", "0"), ("on_failure", "'serial'"),
-    ]),
     "repro.discovery.coref.CoReference": (False, [
         "paths", "unified", "exact", ("members", FACTORY, "list"),
     ]),
@@ -203,10 +198,6 @@ def _sample(path: str) -> dict:
             feature_mode=FeatureMode.KEYS, kmeans_k=3, kmeans_seed=7,
             kmeans_weighted=True, max_depth=64,
         ),
-        "repro.discovery.config.RobustnessConfig": dict(
-            on_bad_record="collect", max_retries=1, task_timeout=2.5,
-            backoff_base=0.5, retry_seed=3, on_failure="skip",
-        ),
         "repro.discovery.coref.CoReference": dict(
             paths=[("a",), ("b",)],
             unified=exact_schema(type_of({"x": 1, "y": "z"})),
@@ -334,8 +325,8 @@ def _sample(path: str) -> dict:
 def test_every_record_class_is_listed_once():
     from repro.records import FrozenRecord, Record
 
-    assert len(SIGNATURES) == 33
-    assert len(FROZEN) == 12
+    assert len(SIGNATURES) == 32
+    assert len(FROZEN) == 11
     listed = {_class(path) for path in SIGNATURES}
     found, pending = set(), [Record]
     while pending:
@@ -441,7 +432,6 @@ def test_frozen_records_pickle_and_deep_copy(path):
 
 @pytest.mark.parametrize("path, override", [
     ("repro.discovery.config.JxplainConfig", {"max_depth": 32}),
-    ("repro.discovery.config.RobustnessConfig", {"max_retries": 0}),
     ("repro.engine.executor.RetryPolicy", {"jitter": 0.0}),
 ])
 def test_with_builds_a_new_validated_instance(path, override):
